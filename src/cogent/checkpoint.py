@@ -1,19 +1,24 @@
 """Binary checkpoint format.
 
-Layout: 8-byte magic ``COGENT01``, little-endian uint64 manifest length, the
+Layout: 8-byte magic ``COGENT02``, little-endian uint64 manifest length, the
 UTF-8 JSON manifest (parameter names/shapes/offsets, config and its digest,
-loss weights, epoch, rng state), the little-endian float32 parameter payload
-in manifest order, then optimizer moments (first moments, then second) in
-the same layout when present.
+loss weights, epoch, normalization stats), then the little-endian float32
+parameter payload in manifest order. No optimizer state is stored.
 
-Save -> load -> save is byte-identical; loaders refuse a checkpoint whose
-architecture digest differs from the one they expect.
+A checkpoint holds only the tensors of the stage that wrote it (pretraining:
+the encoder plus the heads its loss trained; fine-tuning: the encoder plus
+the classifier), so the stage is read off the tensor set (`finetuned`).
+
+Save -> load -> save is byte-identical. Loading raises ConfigError naming the
+file for an older magic, a truncated or corrupt file, or an architecture
+digest other than the one the caller expects.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +27,8 @@ import numpy as np
 
 from .errors import ConfigError
 
-MAGIC = b"COGENT01"
+MAGIC = b"COGENT02"
+OLD_MAGIC = b"COGENT01"
 
 # keys that must agree for parameters to be transferable between runs
 # (theta is excluded: masking ratio changes between pretraining and
@@ -53,15 +59,17 @@ class Checkpoint:
     lambda_c: float = 1.0
     lambda_r: float = 1.0
     epoch: int = 0
-    adam_step: int = 0
-    rng_state: dict = field(default_factory=dict)
-    moments: dict[str, tuple[np.ndarray, np.ndarray]] | None = None
     norm_mean: list[float] = field(default_factory=list)
     norm_std: list[float] = field(default_factory=list)
 
     @property
     def digest(self) -> str:
         return arch_digest(self.config)
+
+    @property
+    def finetuned(self) -> bool:
+        """True for a fine-tuned checkpoint (it carries the classifier)."""
+        return any(name.startswith("clf.") for name in self.params)
 
 
 def _manifest_dict(ckpt: Checkpoint) -> dict:
@@ -73,26 +81,15 @@ def _manifest_dict(ckpt: Checkpoint) -> dict:
         )
         offset += arr.size * 4
     return {
-        "version": 1,
         "config": ckpt.config,
         "config_digest": ckpt.digest,
         "lambda_c": ckpt.lambda_c,
         "lambda_r": ckpt.lambda_r,
         "epoch": ckpt.epoch,
-        "adam_step": ckpt.adam_step,
-        "rng_state": ckpt.rng_state,
         "norm_mean": ckpt.norm_mean,
         "norm_std": ckpt.norm_std,
         "params": entries,
-        "has_moments": ckpt.moments is not None,
     }
-
-
-def _payload(arrays) -> bytes:
-    chunks = []
-    for arr in arrays:
-        chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return b"".join(chunks)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -105,68 +102,59 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(manifest)))
         fh.write(manifest)
-        fh.write(_payload(ckpt.params.values()))
-        if ckpt.moments is not None:
-            fh.write(_payload(m for m, _ in ckpt.moments.values()))
-            fh.write(_payload(v for _, v in ckpt.moments.values()))
+        for arr in ckpt.params.values():
+            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
+    if raw[:8] == OLD_MAGIC:
+        raise ConfigError(
+            f"{path}: checkpoint in the older COGENT01 format; "
+            "re-create it with this version of cogent"
+        )
     if raw[:8] != MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    (mlen,) = struct.unpack("<Q", raw[8:16])
-    manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
-    if expect_digest is not None and manifest["config_digest"] != expect_digest:
-        raise ConfigError(
-            f"{path}: checkpoint architecture digest "
-            f"{manifest['config_digest'][:12]}... does not match the current "
-            f"configuration ({expect_digest[:12]}...)"
+    mlen = int.from_bytes(raw[8:16], "little")
+    if len(raw) < 16 or 16 + mlen > len(raw):
+        raise ConfigError(f"{path}: truncated checkpoint (manifest cut short)")
+    try:
+        manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
+        if not isinstance(manifest["config"], dict):
+            raise TypeError("config is not a JSON object")
+        entries = [
+            (e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]
+        ]
+        ckpt = Checkpoint(
+            config=manifest["config"],
+            params={},
+            lambda_c=manifest["lambda_c"],
+            lambda_r=manifest["lambda_r"],
+            epoch=manifest["epoch"],
+            norm_mean=manifest["norm_mean"],
+            norm_std=manifest["norm_std"],
         )
+        stored_digest = manifest["config_digest"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"{path}: invalid checkpoint manifest ({e!r})") from None
     body = raw[16 + mlen :]
-    params: dict[str, np.ndarray] = {}
-    total = 0
-    for entry in manifest["params"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        arr = np.frombuffer(body, dtype="<f4", count=size, offset=start)
-        params[entry["name"]] = arr.reshape(shape).copy()
-        total += size * 4
-    moments = None
-    if manifest["has_moments"]:
-        m_start = total
-        moments = {}
-        sizes = [(e["name"], tuple(e["shape"])) for e in manifest["params"]]
-        offset = m_start
-        firsts = {}
-        for name, shape in sizes:
-            size = int(np.prod(shape)) if shape else 1
-            firsts[name] = (
-                np.frombuffer(body, dtype="<f4", count=size, offset=offset)
-                .reshape(shape)
-                .copy()
-            )
-            offset += size * 4
-        for name, shape in sizes:
-            size = int(np.prod(shape)) if shape else 1
-            second = (
-                np.frombuffer(body, dtype="<f4", count=size, offset=offset)
-                .reshape(shape)
-                .copy()
-            )
-            moments[name] = (firsts[name], second)
-            offset += size * 4
-    return Checkpoint(
-        config=manifest["config"],
-        params=params,
-        lambda_c=manifest["lambda_c"],
-        lambda_r=manifest["lambda_r"],
-        epoch=manifest["epoch"],
-        adam_step=manifest["adam_step"],
-        rng_state=manifest["rng_state"],
-        moments=moments,
-        norm_mean=manifest["norm_mean"],
-        norm_std=manifest["norm_std"],
-    )
+    expected = 0
+    for name, shape, offset in entries:
+        if offset != expected or not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise ConfigError(f"{path}: invalid checkpoint manifest (entry {name!r})")
+        expected += math.prod(shape) * 4
+    if len(body) != expected:
+        raise ConfigError(
+            f"{path}: payload is {len(body)} bytes, the manifest's shapes "
+            f"need {expected} (truncated or corrupt file)"
+        )
+    if expect_digest is not None and stored_digest != expect_digest:
+        raise ConfigError(
+            f"{path}: checkpoint architecture digest {stored_digest[:12]}... "
+            f"does not match the current configuration ({expect_digest[:12]}...)"
+        )
+    for name, shape, offset in entries:
+        arr = np.frombuffer(body, dtype="<f4", count=math.prod(shape), offset=offset)
+        ckpt.params[name] = arr.reshape(shape).copy()
+    return ckpt

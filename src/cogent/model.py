@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import DatasetMeta
 from .errors import ConfigError, ContractError
+from .losses import LossConfig
 from .patchmask import PatchConfig
 from .tensor import (
     Tensor,
@@ -69,10 +70,7 @@ class ModelParams:
     n_blocks: int
     in_dim: int  # L * D
     n_patches: int
-    n_visible: int
     num_classes: int
-    clf_hidden: int
-    proj_dim: int
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -123,8 +121,15 @@ def init_params(
     meta: DatasetMeta,
     dtype=np.float32,
     proj_tokens: int | None = None,
+    loss: LossConfig | None = None,
 ) -> ModelParams:
-    """Build all learnable tensors, deterministically under cfg.init_seed.
+    """Build the encoder plus the heads one stage trains, under cfg.init_seed.
+
+    With `loss` (pretraining): the decoder and its head when the loss
+    reconstructs, the mask token for the masked target, the projection head
+    when it is contrastive. Without (fine-tuning): the classifier. Every
+    module is drawn from one stream in a fixed order and the unused ones are
+    dropped, so a kept tensor starts the same whichever stage builds it.
 
     Affine weights are truncated-normal (std 0.02), biases zero, layer-norm
     gain 1 / bias 0, cls and mask tokens normal (std 0.02). `proj_tokens`
@@ -136,18 +141,30 @@ def init_params(
     in_dim = patch_cfg.L * meta.D
     dm = cfg.d_model
     hidden = classifier_hidden_width(cfg, n_patches)
+    modules = {"patch_proj", "cls_token", "enc"}
+    if loss is None:
+        modules.add("clf")
+    else:
+        if loss.needs_reconstruction:
+            modules |= {"dec", "dec_head"}
+            if loss.reconstruct_target == "masked":
+                modules.add("mask_token")
+        if loss.needs_contrastive:
+            modules.add("proj")
     rng = np.random.default_rng(cfg.init_seed)
     tensors: dict[str, Tensor] = {}
 
+    def keep(name: str, data: np.ndarray) -> None:
+        if name.split(".", 1)[0] in modules:
+            tensors[name] = Tensor(data, requires_grad=True)
+
     def affine(name: str, n_in: int, n_out: int) -> None:
-        tensors[f"{name}.w"] = Tensor(
-            _trunc_normal(rng, (n_in, n_out), 0.02, dtype), requires_grad=True
-        )
-        tensors[f"{name}.b"] = Tensor(np.zeros(n_out, dtype=dtype), requires_grad=True)
+        keep(f"{name}.w", _trunc_normal(rng, (n_in, n_out), 0.02, dtype))
+        keep(f"{name}.b", np.zeros(n_out, dtype=dtype))
 
     def norm(name: str) -> None:
-        tensors[f"{name}.g"] = Tensor(np.ones(dm, dtype=dtype), requires_grad=True)
-        tensors[f"{name}.b"] = Tensor(np.zeros(dm, dtype=dtype), requires_grad=True)
+        keep(f"{name}.g", np.ones(dm, dtype=dtype))
+        keep(f"{name}.b", np.zeros(dm, dtype=dtype))
 
     def block(prefix: str) -> None:
         norm(f"{prefix}.ln1")
@@ -160,12 +177,8 @@ def init_params(
         affine(f"{prefix}.mlp.fc2", cfg.mlp_ratio * dm, dm)
 
     affine("patch_proj", in_dim, dm)
-    tensors["cls_token"] = Tensor(
-        rng.normal(0.0, 0.02, size=(1, dm)).astype(dtype), requires_grad=True
-    )
-    tensors["mask_token"] = Tensor(
-        rng.normal(0.0, 0.02, size=(1, dm)).astype(dtype), requires_grad=True
-    )
+    keep("cls_token", rng.normal(0.0, 0.02, size=(1, dm)).astype(dtype))
+    keep("mask_token", rng.normal(0.0, 0.02, size=(1, dm)).astype(dtype))
     for i in range(cfg.n_blocks):
         block(f"enc.{i}")
     for i in range(cfg.n_blocks):
@@ -184,10 +197,7 @@ def init_params(
         n_blocks=cfg.n_blocks,
         in_dim=in_dim,
         n_patches=n_patches,
-        n_visible=n_visible,
         num_classes=meta.num_classes,
-        clf_hidden=hidden,
-        proj_dim=cfg.proj_dim,
     )
 
 

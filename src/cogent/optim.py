@@ -42,29 +42,21 @@ def decayed(name: str) -> bool:
     return name.endswith(".w")
 
 
-def adam_step(
-    params: ModelParams,
-    state: AdamState,
-    cfg: AdamConfig,
-    trainable: set[str] | None = None,
-) -> None:
+def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
     """One optimizer step over accumulated gradients.
 
-    `trainable` restricts the update to a subset of parameter names (the
-    fine-tuning stage freezes the decoder and projection head). A missing
-    gradient counts as zero, so only the decay term moves such parameters.
+    Every parameter must carry a finite gradient: a stage builds only the
+    tensors it trains, so a missing one means the loss never reached it.
     """
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
     for name, tensor in params.items():
-        if trainable is not None and name not in trainable:
-            continue
         g = tensor.grad
         if g is None:
-            g = np.zeros_like(tensor.data)
-        elif not np.all(np.isfinite(g)):
+            raise ContractError(f"no gradient reached parameter {name!r}")
+        if not np.all(np.isfinite(g)):
             raise ContractError(f"non-finite gradient in parameter {name!r}")
         m = state.m[name]
         v = state.v[name]

@@ -140,6 +140,8 @@ def _adam_oracle():
         meta,
     )
     state = AdamState.for_params(params)
+    for _, t in params.items():
+        t.grad = np.zeros_like(t.data)
     params.tensors["patch_proj.b"].data[:] = 0.0
     params.tensors["patch_proj.b"].grad = np.ones(4, np.float32)
     adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.0))

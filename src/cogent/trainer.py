@@ -222,25 +222,15 @@ def _snapshot(
     settings: RunSettings,
     lambdas: tuple[float, float],
     epoch: int,
-    adam_state: AdamState | None,
     norm_mean: np.ndarray,
     norm_std: np.ndarray,
 ) -> Checkpoint:
-    moments = None
-    if adam_state is not None:
-        moments = {
-            name: (adam_state.m[name].copy(), adam_state.v[name].copy())
-            for name, _ in params.items()
-        }
     return Checkpoint(
         config=dict(settings.config_dict),
         params={name: t.data.copy() for name, t in params.items()},
         lambda_c=lambdas[0],
         lambda_r=lambdas[1],
         epoch=epoch,
-        adam_step=adam_state.step if adam_state is not None else 0,
-        rng_state={"seed": settings.train.seed, "epoch": epoch},
-        moments=moments,
         norm_mean=[float(x) for x in norm_mean],
         norm_std=[float(x) for x in norm_std],
     )
@@ -286,7 +276,11 @@ def pretrain(
         settings.patch.n_patches(corpus.meta.T) if settings.keep_zeroed else None
     )
     params = init_params(
-        settings.model, settings.patch, corpus.meta, proj_tokens=proj_tokens
+        settings.model,
+        settings.patch,
+        corpus.meta,
+        proj_tokens=proj_tokens,
+        loss=settings.loss,
     )
     adam_state = AdamState.for_params(params)
     adam_cfg = AdamConfig(
@@ -341,22 +335,14 @@ def pretrain(
         selection = sanity_total if sanity_total is not None else entry["total"]
         if selection < best_sanity:
             best_sanity = selection
-            best_ckpt = _snapshot(
-                params, settings, lambdas, epoch, adam_state, norm_mean, norm_std
-            )
+            best_ckpt = _snapshot(params, settings, lambdas, epoch, norm_mean, norm_std)
     assert best_ckpt is not None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(best_ckpt, out_dir / "best.ckpt")
         last = _snapshot(
-            params,
-            settings,
-            lambdas,
-            tc.epochs_pretrain - 1,
-            adam_state,
-            norm_mean,
-            norm_std,
+            params, settings, lambdas, tc.epochs_pretrain - 1, norm_mean, norm_std
         )
         save_checkpoint(last, out_dir / "last.ckpt")
         _write_loss_log(out_dir / "loss_log.csv", log)
@@ -400,20 +386,13 @@ def _write_loss_log(path, log: list[dict]) -> None:
             writer.writerow({k: ("" if entry.get(k) is None else entry[k]) for k in fields})
 
 
-_FINETUNE_PREFIXES = ("patch_proj.", "enc.", "clf.")
-
-
-def _finetune_trainable(params: ModelParams) -> set[str]:
-    names = {
-        name
-        for name, _ in params.items()
-        if name.startswith(_FINETUNE_PREFIXES) or name == "cls_token"
-    }
-    return names
-
-
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
-    """Rebuild a ModelParams bundle exactly as stored (shapes inferred)."""
+    """Rebuild the fine-tuned model a checkpoint stores, for inference."""
+    if not ckpt.finetuned:
+        raise ConfigError(
+            "checkpoint has no trained classifier (a pretraining checkpoint); "
+            "fine-tune it first"
+        )
     cfg = ckpt.config
     dm = int(cfg["model.d_model"])
     L = int(cfg["patch.L"])
@@ -432,10 +411,7 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
         n_blocks=int(cfg["model.n_blocks"]),
         in_dim=L * d_chan,
         n_patches=n_patches,
-        n_visible=tensors["proj.fc1.w"].shape[0] // dm,
-        num_classes=tensors["clf.fc2.b"].shape[0],
-        clf_hidden=tensors["clf.fc1.w"].shape[1],
-        proj_dim=tensors["proj.fc2.b"].shape[0],
+        num_classes=int(cfg["data.num_classes"]),
     )
     return params, PatchConfig(L=L, theta=0.0)
 
@@ -448,10 +424,10 @@ def finetune(
 ) -> tuple[Checkpoint, MetricReport]:
     """Supervised stage on the stratified label subset; no masking, no views.
 
-    With a checkpoint, the encoder stack (patch projection, cls token,
-    encoder blocks) is transferred and the decoder/projection head are left
-    untouched and frozen; without one this is the train-from-scratch
-    baseline. Selection keeps the best validation F1.
+    With a pretraining checkpoint, its encoder tensors (patch projection,
+    cls token, encoder blocks) replace the fresh ones by name; without one
+    this is the train-from-scratch baseline. The model is the encoder plus
+    the classifier, all of it trained. Selection keeps the best validation F1.
     """
     tc = settings.train
     meta = corpus.meta
@@ -463,6 +439,11 @@ def finetune(
     ft_settings = replace(settings, patch=ft_patch)
     params = init_params(settings.model, ft_patch, meta)
     if ckpt is not None:
+        if ckpt.finetuned:
+            raise ConfigError(
+                "checkpoint is already fine-tuned (it carries a classifier); "
+                "fine-tune from a pretraining checkpoint"
+            )
         expect = arch_digest(settings.config_dict)
         if ckpt.digest != expect:
             raise ConfigError(
@@ -475,13 +456,14 @@ def finetune(
                 f"{ckpt.config['data.num_classes']} classes, corpus has "
                 f"{meta.num_classes}"
             )
-        transferred = 0
-        for name, arr in ckpt.params.items():
-            if name.startswith(("patch_proj.", "enc.")) or name == "cls_token":
-                params.tensors[name].data = arr.astype(np.float32).copy()
-                transferred += 1
-        if transferred == 0:
-            raise ConfigError("checkpoint carries no transferable encoder tensors")
+        encoder = [name for name in params.tensors if not name.startswith("clf.")]
+        missing = [name for name in encoder if name not in ckpt.params]
+        if missing:
+            raise ConfigError(
+                f"checkpoint lacks encoder tensors: {', '.join(missing[:3])}"
+            )
+        for name in encoder:
+            params.tensors[name].data = ckpt.params[name].astype(np.float32).copy()
     adam_state = AdamState.for_params(params)
     adam_cfg = AdamConfig(
         lr=tc.lr_finetune,
@@ -490,7 +472,6 @@ def finetune(
         eps=tc.adam_eps,
         weight_decay=tc.weight_decay,
     )
-    trainable = _finetune_trainable(params)
     lambdas = (0.0, 0.0)  # self-supervised weights are not part of this stage
     best: tuple[float, Checkpoint, MetricReport] | None = None
     for epoch in range(tc.epochs_finetune):
@@ -504,18 +485,12 @@ def finetune(
                 raise ContractError(f"non-finite fine-tune loss at epoch {epoch}")
             params.zero_grads()
             loss.backward()
-            adam_step(params, adam_state, adam_cfg, trainable=trainable)
+            adam_step(params, adam_state, adam_cfg)
         if (epoch + 1) % tc.eval_every == 0 or epoch == tc.epochs_finetune - 1:
             report = _evaluate_params(params, ft_patch, val, tc.batch_size)
             if best is None or report.f1 > best[0]:
                 snap = _snapshot(
-                    params,
-                    ft_settings,
-                    lambdas,
-                    epoch,
-                    adam_state,
-                    norm_mean,
-                    norm_std,
+                    params, ft_settings, lambdas, epoch, norm_mean, norm_std
                 )
                 best = (report.f1, snap, report)
     assert best is not None

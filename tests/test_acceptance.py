@@ -106,7 +106,7 @@ def test_criterion_1_gradient_integrity():
         elapsed = time.time() - start
         worst = max(errors.values())
         assert worst < 1e-3, f"worst per-tensor gradient error {worst}"
-        assert len(errors) == 78  # every parameter tensor was checked
+        assert len(errors) == 74  # every pretraining parameter tensor was checked
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -11,22 +14,13 @@ from cogent.checkpoint import (
 from cogent.errors import ConfigError
 
 
-def sample_checkpoint(with_moments=True):
+def sample_checkpoint():
     rng = np.random.default_rng(0)
     params = {
         "patch_proj.w": rng.normal(size=(4, 8)).astype(np.float32),
         "patch_proj.b": np.zeros(8, dtype=np.float32),
         "cls_token": rng.normal(size=(1, 8)).astype(np.float32),
     }
-    moments = None
-    if with_moments:
-        moments = {
-            k: (
-                rng.normal(size=v.shape).astype(np.float32),
-                np.abs(rng.normal(size=v.shape)).astype(np.float32),
-            )
-            for k, v in params.items()
-        }
     config = {
         "data.T": 16,
         "data.D": 1,
@@ -46,9 +40,6 @@ def sample_checkpoint(with_moments=True):
         lambda_c=1.0,
         lambda_r=0.0171875,
         epoch=12,
-        adam_step=480,
-        rng_state={"seed": 7, "epoch": 12},
-        moments=moments,
         norm_mean=[0.25],
         norm_std=[1.5],
     )
@@ -69,20 +60,30 @@ class TestRoundTrip:
         loaded = load_checkpoint(tmp_path / "c.ckpt")
         assert loaded.lambda_r == ckpt.lambda_r
         assert loaded.epoch == 12
-        assert loaded.adam_step == 480
-        assert loaded.rng_state == {"seed": 7, "epoch": 12}
         assert loaded.norm_mean == [0.25]
         assert list(loaded.params) == list(ckpt.params)  # order preserved
         for k in ckpt.params:
             np.testing.assert_array_equal(loaded.params[k], ckpt.params[k])
-            np.testing.assert_array_equal(loaded.moments[k][0], ckpt.moments[k][0])
-            np.testing.assert_array_equal(loaded.moments[k][1], ckpt.moments[k][1])
 
-    def test_without_moments(self, tmp_path):
-        ckpt = sample_checkpoint(with_moments=False)
+    def test_file_is_header_manifest_and_parameters_only(self, tmp_path):
+        # no optimizer state: the payload is exactly the parameter bytes
+        ckpt = sample_checkpoint()
         save_checkpoint(ckpt, tmp_path / "d.ckpt")
-        loaded = load_checkpoint(tmp_path / "d.ckpt")
-        assert loaded.moments is None
+        raw = (tmp_path / "d.ckpt").read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        manifest = json.loads(raw[16 : 16 + mlen])
+        assert sorted(manifest) == [
+            "config", "config_digest", "epoch", "lambda_c", "lambda_r",
+            "norm_mean", "norm_std", "params",
+        ]
+        payload = sum(arr.size * 4 for arr in ckpt.params.values())
+        assert len(raw) == 16 + mlen + payload
+
+    def test_stage_read_off_tensor_set(self):
+        ckpt = sample_checkpoint()
+        assert not ckpt.finetuned
+        ckpt.params["clf.fc2.b"] = np.zeros(2, np.float32)
+        assert ckpt.finetuned
 
     def test_magic_bytes_lead_the_file(self, tmp_path):
         save_checkpoint(sample_checkpoint(), tmp_path / "e.ckpt")
@@ -93,6 +94,80 @@ class TestRoundTrip:
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 32)
         with pytest.raises(ConfigError, match="magic"):
             load_checkpoint(bad)
+
+
+def _saved(tmp_path):
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(sample_checkpoint(), path)
+    return path, path.read_bytes()
+
+
+class TestBadInput:
+    def test_truncated_payload(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        path.write_bytes(raw[:-5])
+        with pytest.raises(ConfigError, match=r"good\.ckpt: payload is"):
+            load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        path.write_bytes(raw + b"\x00" * 4)
+        with pytest.raises(ConfigError, match="payload is"):
+            load_checkpoint(path)
+
+    def test_truncated_manifest(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        path.write_bytes(raw[:40])
+        with pytest.raises(ConfigError, match=r"good\.ckpt: truncated"):
+            load_checkpoint(path)
+
+    def test_truncated_header(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        path.write_bytes(raw[:12])
+        with pytest.raises(ConfigError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_undecodable_manifest_byte(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        corrupt = bytearray(raw)
+        corrupt[20] = 0xFF  # not valid UTF-8
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(ConfigError, match=r"good\.ckpt: invalid checkpoint"):
+            load_checkpoint(path)
+
+    def test_invalid_json_manifest(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        corrupt = bytearray(raw)
+        corrupt[16] = ord("[")  # the manifest no longer parses
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(ConfigError, match="invalid checkpoint manifest"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("params"),
+            lambda m: m["params"][0].update(shape="4x8"),
+            lambda m: m["params"][1].update(offset=0),
+            lambda m: m.update(config=[]),
+        ],
+        ids=["missing-key", "bad-shape", "bad-offset", "config-not-object"],
+    )
+    def test_invalid_manifest_fields(self, tmp_path, edit):
+        path, raw = _saved(tmp_path)
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        manifest = json.loads(raw[16 : 16 + mlen])
+        edit(manifest)
+        blob = json.dumps(manifest).encode()
+        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+        with pytest.raises(ConfigError, match="invalid checkpoint manifest"):
+            load_checkpoint(path)
+
+    def test_older_format_named(self, tmp_path):
+        path, raw = _saved(tmp_path)
+        path.write_bytes(b"COGENT01" + raw[8:])
+        with pytest.raises(ConfigError, match="older COGENT01 format; re-create"):
+            load_checkpoint(path)
 
 
 class TestDigest:

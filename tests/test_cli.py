@@ -158,6 +158,45 @@ class TestFinetuneEvaluateExport:
         )
         assert rc in (1, 2)
 
+    @pytest.mark.parametrize("command", ["evaluate", "export-embeddings"])
+    def test_pretraining_checkpoint_exits_1(
+        self, command, corpus_dir, pretrain_dir, tmp_path, capsys
+    ):
+        rc = main(
+            [
+                command,
+                "--from", str(pretrain_dir / "best.ckpt"),
+                "--data", str(corpus_dir),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert rc == 1
+        assert "no trained classifier" in capsys.readouterr().err
+
+    def test_finetune_from_finetuned_exits_1(
+        self, corpus_dir, finetune_dir, tmp_path, capsys
+    ):
+        rc = main(
+            [
+                "finetune",
+                "--data", str(corpus_dir),
+                "--out", str(tmp_path),
+                "--from", str(finetune_dir / "finetuned.ckpt"),
+            ]
+            + SMALL
+        )
+        assert rc == 1
+        assert "already fine-tuned" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_exits_1(
+        self, corpus_dir, finetune_dir, tmp_path, capsys
+    ):
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes((finetune_dir / "finetuned.ckpt").read_bytes()[:-100])
+        rc = main(["evaluate", "--from", str(bad), "--data", str(corpus_dir)])
+        assert rc == 1
+        assert f"{bad}: payload is" in capsys.readouterr().err
+
     def test_corpus_shape_mismatch_exits_1(self, finetune_dir, tmp_path, capsys):
         other = tmp_path / "othercorpus"
         rc = main(

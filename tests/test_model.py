@@ -3,7 +3,7 @@ import pytest
 
 from cogent.data import DatasetMeta
 from cogent.errors import ConfigError, ContractError
-from cogent.losses import reconstruction_loss
+from cogent.losses import LossConfig, reconstruction_loss
 from cogent.model import (
     ModelConfig,
     classifier_hidden_width,
@@ -18,7 +18,7 @@ from cogent.patchmask import PatchConfig
 from cogent.tensor import Tensor
 
 
-def micro_setup(theta=0.5, num_classes=2, d_model=8, init_seed=0):
+def micro_setup(theta=0.5, num_classes=2, d_model=8, init_seed=0, loss=None):
     meta = DatasetMeta(T=16, D=1, num_classes=num_classes, name="micro")
     patch_cfg = PatchConfig(L=4, theta=theta)
     model_cfg = ModelConfig(
@@ -29,8 +29,19 @@ def micro_setup(theta=0.5, num_classes=2, d_model=8, init_seed=0):
         proj_dim=8,
         init_seed=init_seed,
     )
-    params = init_params(model_cfg, patch_cfg, meta)
+    params = init_params(model_cfg, patch_cfg, meta, loss=loss)
     return meta, patch_cfg, model_cfg, params
+
+
+PRETRAIN = LossConfig()  # joint loss, visible target: decoder + projection head
+# fine-tuning plus every pretraining layout; together they hold every tensor
+LAYOUTS = (
+    None,
+    PRETRAIN,
+    LossConfig(reconstruct_target="masked"),
+    LossConfig(mode="generative_only"),
+    LossConfig(mode="contrastive_only"),
+)
 
 
 class TestInitParams:
@@ -46,25 +57,40 @@ class TestInitParams:
         _, _, _, b = micro_setup(init_seed=6)
         assert not np.array_equal(a["patch_proj.w"].data, b["patch_proj.w"].data)
 
+    def test_stages_share_tensors_bit_identically(self):
+        # every layout draws all modules in one order and drops the unused,
+        # so a tensor two stages both build starts with the same values
+        layouts = [micro_setup(loss=loss)[3] for loss in LAYOUTS]
+        full = {}
+        for params in layouts:
+            for name, t in params.items():
+                full.setdefault(name, t.data)
+                np.testing.assert_array_equal(t.data, full[name])
+        assert {n.split(".")[0] for n in full} == {
+            "patch_proj", "cls_token", "mask_token", "enc", "dec", "dec_head",
+            "proj", "clf",
+        }
+
     def test_layer_norm_gains_exactly_one(self):
-        _, _, _, params = micro_setup()
-        for name, t in params.items():
-            if name.endswith(".g"):
-                assert np.all(t.data == 1.0)
+        for loss in LAYOUTS:
+            _, _, _, params = micro_setup(loss=loss)
+            for name, t in params.items():
+                if name.endswith(".g"):
+                    assert np.all(t.data == 1.0), name
 
     def test_biases_zero_weights_truncated(self):
-        _, _, _, params = micro_setup()
-        for name, t in params.items():
-            if name.endswith(".b"):
-                assert np.all(t.data == 0.0)
-            if name.endswith(".w"):
-                assert np.all(np.abs(t.data) <= 2.0 * 0.02 + 1e-7)
+        for loss in LAYOUTS:
+            _, _, _, params = micro_setup(loss=loss)
+            for name, t in params.items():
+                if name.endswith(".b"):
+                    assert np.all(t.data == 0.0), name
+                if name.endswith(".w"):
+                    assert np.all(np.abs(t.data) <= 2.0 * 0.02 + 1e-7), name
 
     def test_reference_parameter_count_matches_shape_products(self):
         meta = DatasetMeta(T=1280, D=1, num_classes=3, name="bench1280")
         patch_cfg = PatchConfig(L=64, theta=0.75)
         model_cfg = ModelConfig()  # d=512, 2 blocks, heads=8, mlp_ratio=4
-        params = init_params(model_cfg, patch_cfg, meta)
         dm, ld = 512, 64
         n, v = 20, 5
         hidden = round(0.10 * n * dm)  # 1024
@@ -74,18 +100,22 @@ class TestInitParams:
             + (dm * 4 * dm + 4 * dm)  # mlp in
             + (4 * dm * dm + dm)  # mlp out
         )
-        expect = (
-            (ld * dm + dm)  # patch projection
-            + 2 * dm  # cls + mask tokens
-            + 4 * block  # 2 encoder + 2 decoder blocks
-            + (dm * ld + ld)  # decoder head
-            + (v * dm * dm + dm)  # projection head fc1
-            + (dm * 128 + 128)  # projection head fc2
-            + (n * dm * hidden + hidden)  # classifier fc1
-            + (hidden * 3 + 3)  # classifier fc2
-        )
-        assert params.total_params() == expect
-        assert params.clf_hidden == 1024
+        encoder = (ld * dm + dm) + dm + 2 * block  # patch projection, cls, blocks
+        decoder = 2 * block + (dm * ld + ld)  # blocks and head
+        proj = (v * dm * dm + dm) + (dm * 128 + 128)
+        clf = (n * dm * hidden + hidden) + (hidden * 3 + 3)
+        counts = [
+            (None, encoder + clf),
+            (PRETRAIN, encoder + decoder + proj),
+            (LossConfig(reconstruct_target="masked"), encoder + dm + decoder + proj),
+            (LossConfig(mode="generative_only"), encoder + decoder),
+            (LossConfig(mode="contrastive_only"), encoder + proj),
+        ]
+        for loss, expect in counts:
+            params = init_params(model_cfg, patch_cfg, meta, loss=loss)
+            assert params.total_params() == expect, loss
+            if loss is None:
+                assert params["clf.fc1.w"].shape[1] == 1024
 
     def test_classifier_hidden_width_reference_shape(self):
         assert classifier_hidden_width(ModelConfig(), 20) == 1024
@@ -152,7 +182,7 @@ class TestEncode:
 
 class TestProjectHead:
     def test_output_shape_and_unit_norm(self):
-        _, _, _, params = micro_setup(theta=0.5)
+        _, _, _, params = micro_setup(theta=0.5, loss=PRETRAIN)
         rng = np.random.default_rng(3)
         tokens = rng.normal(size=(4, 2, 4)).astype(np.float32)
         idx = np.tile(np.array([0, 2]), (4, 1))
@@ -162,7 +192,7 @@ class TestProjectHead:
         np.testing.assert_allclose(norms, 1.0, atol=1e-5)
 
     def test_identical_inputs_identical_embeddings(self):
-        _, _, _, params = micro_setup(theta=0.5)
+        _, _, _, params = micro_setup(theta=0.5, loss=PRETRAIN)
         tokens = np.tile(
             np.random.default_rng(4).normal(size=(1, 2, 4)).astype(np.float32),
             (2, 1, 1),
@@ -172,7 +202,7 @@ class TestProjectHead:
         np.testing.assert_array_equal(h[0], h[1])
 
     def test_wrong_visible_count(self):
-        _, _, _, params = micro_setup(theta=0.5)  # head sized for V=2
+        _, _, _, params = micro_setup(theta=0.5, loss=PRETRAIN)  # head sized for V=2
         tokens = np.zeros((1, 3, 4), np.float32)
         idx = np.array([[0, 1, 2]])
         z = encode(tokens, idx, params)
@@ -182,7 +212,7 @@ class TestProjectHead:
 
 class TestDecode:
     def test_output_shape(self):
-        _, _, _, params = micro_setup(theta=0.5)
+        _, _, _, params = micro_setup(theta=0.5, loss=PRETRAIN)
         tokens = np.zeros((2, 2, 4), np.float32)
         idx = np.tile(np.array([0, 3]), (2, 1))
         z = encode(tokens, idx, params)
@@ -190,7 +220,9 @@ class TestDecode:
         assert out.shape == (2, 2, 4)  # cls token yields no reconstructed patch
 
     def test_masked_fill_shape(self):
-        _, _, _, params = micro_setup(theta=0.5)
+        _, _, _, params = micro_setup(
+            theta=0.5, loss=LossConfig(reconstruct_target="masked")
+        )
         tokens = np.zeros((2, 2, 4), np.float32)
         idx = np.tile(np.array([0, 3]), (2, 1))
         masks = np.zeros((2, 4), np.uint8)
@@ -200,7 +232,7 @@ class TestDecode:
         assert out.shape == (2, 4, 4)
 
     def test_reconstruction_gradient_reaches_patch_projection(self):
-        _, _, _, params = micro_setup(theta=0.5)
+        _, _, _, params = micro_setup(theta=0.5, loss=PRETRAIN)
         rng = np.random.default_rng(5)
         tokens = rng.normal(size=(2, 2, 4)).astype(np.float32)
         idx = np.tile(np.array([1, 2]), (2, 1))
@@ -245,7 +277,7 @@ class TestClassify:
         tokens = np.zeros((2, 4, 4), np.float32)
         idx = np.tile(np.arange(4), (2, 1))
         logits, hidden = classify(encode(tokens, idx, params), params, return_hidden=True)
-        assert hidden.shape == (2, params.clf_hidden)
+        assert hidden.shape == (2, params["clf.fc1.w"].shape[1])
 
 
 class TestModelConfigValidation:

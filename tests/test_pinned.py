@@ -1,0 +1,103 @@
+"""Pinned numerics: a tiny pretrain + fine-tune + evaluate must reproduce
+committed digests of its loss logs and test metrics.
+
+The digests cover what a run reports (the pretraining loss log, every
+fine-tuning step's loss, the test metrics), not parameter bytes, so a
+refactor that changes which tensors a checkpoint stores keeps them, while
+any drift in the numbers breaks them. Change an expected digest only with a
+stated reason for the numerics to move.
+
+The digests are exact float bits. They were recorded with numpy 2.4.6 on
+its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on an x86_64 Xeon with AVX-512,
+with 1 and 2 BLAS threads. OpenBLAS picks its kernels for the CPU it runs
+on, and another kernel may sum in another order, so the same code can give
+other bits on another CPU or BLAS build. A mismatch there is a reason to
+re-record the digests (at the parent commit too, and stating the host), not
+by itself a regression.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cogent import trainer
+from cogent.config import resolve_config, settings_from_config
+from cogent.data import DatasetMeta, gen_synthetic
+
+TINY = {
+    "seed": "0",
+    "patch.L": "8",
+    "model.d_model": "16",
+    "model.n_heads": "2",
+    "model.mlp_ratio": "2",
+    "model.proj_dim": "8",
+    "train.batch_size": "4",
+    "train.epochs_pretrain": "2",
+    "train.epochs_finetune": "2",
+}
+
+# loss overrides -> (pretrain log, fine-tune losses, test metrics) sha256
+PINNED = {
+    "cogent": (
+        {"loss.mode": "cogent"},
+        (
+            "ecfee18f5caa40631eccd458bcd1c486952955342398a0b3262cd52f828d1e02",
+            "f6d86ece04ee127be20ca7b72d0e356bbf30ab16d53a6a04e0cd4cb479c0ff7a",
+            "ff94f869c4853804cf05a5c0f4418f250b4108e766c544bf688620562cef9df2",
+        ),
+    ),
+    "generative_only-masked": (
+        {"loss.mode": "generative_only", "loss.reconstruct_target": "masked"},
+        (
+            "39b59a19ea8c0c31b86da4fd77c40e04a76d3c441275be0c0f3fff890aa478bd",
+            "abcccca085cad27756d7c261a46128b95375ff221d80b6c22553b3a253e9ab85",
+            "df2676142df20fbb968264fb9c5fe38559d27ea83f919f772d3770048d84fc11",
+        ),
+    ),
+    "contrastive_only": (
+        {"loss.mode": "contrastive_only"},
+        (
+            "890cf12246c666d3fd6eefbfd02eb28e14604f2b3925d7873d406fd76b126d2a",
+            "e1b32f19d480cc9b9e9381bfa0d0d5e21072c275c91c872479d03e4fc8f5ff11",
+            "ca02997743d322eda9822587d9b4f41a4da9f8e8d925f7e5b3e5fc31d03efe88",
+        ),
+    ),
+}
+
+
+def _sha(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    meta = DatasetMeta(T=32, D=1, num_classes=3, name="pinned")
+    return gen_synthetic(
+        tmp_path_factory.mktemp("pinned"), meta, per_class=12, seed=0, sigma=0.1
+    )
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_run_matches_pinned_digests(case, corpus, monkeypatch):
+    overrides, expected = PINNED[case]
+    cfg = resolve_config(None, {**TINY, **overrides}, env={})
+    settings = settings_from_config(cfg, corpus.meta)
+    pre_ckpt, pre_log = trainer.pretrain(corpus, settings)
+
+    losses = []
+    cross_entropy = trainer.cross_entropy
+
+    def recording(logits, labels):
+        loss = cross_entropy(logits, labels)
+        losses.append(loss.item())
+        return loss
+
+    monkeypatch.setattr(trainer, "cross_entropy", recording)
+    tuned, _ = trainer.finetune(pre_ckpt, corpus, settings)
+    monkeypatch.undo()
+    metrics = trainer.evaluate(tuned, corpus.test).as_row()
+
+    got = (_sha(pre_log), _sha(losses), _sha(metrics))
+    assert got == expected

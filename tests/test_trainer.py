@@ -164,15 +164,41 @@ class TestFinetune:
         with pytest.raises(ConfigError, match="digest"):
             finetune(ckpt, corpus, settings)
 
-    def test_decoder_and_projection_untouched(self, corpus, cogent_ckpt):
-        ckpt, _ = cogent_ckpt
-        settings = make_settings(seed=0, epochs_finetune=2)
-        tuned, _ = finetune(ckpt, corpus, settings)
-        # frozen decoder keeps its fresh-init values through training
-        tuned2, _ = finetune(ckpt, corpus, settings)
-        np.testing.assert_array_equal(
-            tuned.params["dec_head.w"], tuned2.params["dec_head.w"]
+    def test_checkpoints_hold_only_their_stage_tensors(self, corpus):
+        # pretraining stores no classifier; fine-tuning stores no decoder,
+        # projection head or mask token, whatever the pretraining loss
+        heads = {
+            "cogent": {"dec", "dec_head", "proj"},
+            "generative_only": {"dec", "dec_head"},
+            "contrastive_only": {"proj"},
+        }
+        encoder = {"patch_proj", "cls_token", "enc"}
+        for mode, expect in heads.items():
+            settings = make_settings(
+                seed=9, mode=mode, epochs_pretrain=1, epochs_finetune=1
+            )
+            pre, _ = pretrain(corpus, settings)
+            assert {n.split(".")[0] for n in pre.params} == encoder | expect, mode
+            tuned, _ = finetune(pre, corpus, settings)
+            assert {n.split(".")[0] for n in tuned.params} == encoder | {"clf"}, mode
+            for name in encoder & set(pre.params):
+                assert pre.params[name].shape == tuned.params[name].shape
+
+    def test_masked_target_adds_only_the_mask_token(self, corpus):
+        settings = make_settings(
+            seed=9, mode="generative_only", epochs_pretrain=1,
+            reconstruct_target="masked",
         )
+        pre, _ = pretrain(corpus, settings)
+        assert "mask_token" in pre.params
+        assert not any(n.startswith(("proj.", "clf.")) for n in pre.params)
+
+    def test_finetuned_checkpoint_refused_as_input(self, corpus, cogent_ckpt):
+        ckpt, _ = cogent_ckpt
+        settings = make_settings(seed=0, epochs_finetune=1)
+        tuned, _ = finetune(ckpt, corpus, settings)
+        with pytest.raises(ConfigError, match="already fine-tuned"):
+            finetune(tuned, corpus, settings)
 
     def test_test_rows_never_read_before_evaluate(self, corpus, cogent_ckpt):
         ckpt, _ = cogent_ckpt
@@ -218,6 +244,13 @@ class TestEvaluateAndExport:
         save_checkpoint(tuned, tmp_path / "t.ckpt")
         after = evaluate(load_checkpoint(tmp_path / "t.ckpt"), corpus.test)
         assert before.as_row() == after.as_row()
+
+    def test_pretraining_checkpoint_refused(self, corpus, cogent_ckpt):
+        ckpt, _ = cogent_ckpt
+        with pytest.raises(ConfigError, match="no trained classifier"):
+            evaluate(ckpt, corpus.test)
+        with pytest.raises(ConfigError, match="no trained classifier"):
+            export_embeddings(ckpt, corpus.test)
 
     def test_empty_split_rejected(self, corpus, cogent_ckpt):
         ckpt, _ = cogent_ckpt
