@@ -69,9 +69,15 @@ class Corpus:
 def _parse_csv(path: Path, meta: DatasetMeta) -> list[TimeSeriesSample]:
     expected = 1 + meta.T * meta.D
     samples = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("ascii").strip()
+            except UnicodeDecodeError as e:
+                raise ParseError(
+                    f"{path}:{lineno}: non-ASCII byte 0x{raw[e.start]:02x} "
+                    f"at column {e.start + 1}"
+                ) from None
             if not line:
                 continue
             cells = line.split(",")
@@ -108,18 +114,31 @@ def load_corpus(corpus_dir) -> Corpus:
     meta_path = corpus_dir / "meta.json"
     if not meta_path.is_file():
         raise ParseError(f"missing manifest: {meta_path}")
-    with open(meta_path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
     try:
-        meta = DatasetMeta(
-            T=int(raw["T"]),
-            D=int(raw["D"]),
-            num_classes=int(raw["num_classes"]),
-            name=str(raw.get("name", corpus_dir.name)),
-            sampling_note=str(raw.get("sampling_note", "")),
+        with open(meta_path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ParseError(f"{meta_path}: not a valid JSON manifest ({e})") from None
+    if not isinstance(raw, dict):
+        raise ParseError(f"{meta_path}: manifest must be a JSON object")
+
+    def integer(key: str) -> int:
+        if key not in raw:
+            raise ParseError(f"{meta_path}: missing manifest key {key!r}")
+        value = raw[key]
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ParseError(
+            f"{meta_path}: manifest key {key!r} must be an integer, got {value!r}"
         )
-    except KeyError as e:
-        raise ParseError(f"{meta_path}: missing manifest key {e}") from None
+
+    meta = DatasetMeta(
+        T=integer("T"),
+        D=integer("D"),
+        num_classes=integer("num_classes"),
+        name=str(raw.get("name", corpus_dir.name)),
+        sampling_note=str(raw.get("sampling_note", "")),
+    )
     splits = []
     for fname in SPLIT_FILES:
         fpath = corpus_dir / fname

@@ -86,7 +86,8 @@ class ModelParams:
         return sum(t.data.size for t in self.tensors.values())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.tensors.items()}
+        """Copies of the parameter values (an optimizer step updates in place)."""
+        return {k: v.data.copy() for k, v in self.tensors.items()}
 
 
 def sinusoid_table(n_pos: int, d_model: int, dtype=np.float32) -> np.ndarray:

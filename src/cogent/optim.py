@@ -2,6 +2,10 @@
 
 Weight decay applies to affine weight matrices only (names ending ".w"),
 never to layer-norm gains/biases, bias vectors, or the cls/mask tokens.
+
+A step updates the parameter arrays and the moments in place. A caller that
+keeps parameter values across steps must copy them, as checkpoint snapshots
+do.
 """
 
 from __future__ import annotations
@@ -58,15 +62,26 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
             raise ContractError(f"no gradient reached parameter {name!r}")
         if not np.all(np.isfinite(g)):
             raise ContractError(f"non-finite gradient in parameter {name!r}")
+        data = tensor.data
         m = state.m[name]
         v = state.v[name]
+        buf = np.multiply(g, 1.0 - cfg.beta1)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - cfg.beta2
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        update = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        v += buf
+        # update = lr * m_hat / (sqrt(v_hat) + eps) [+ (lr * wd) * data],
+        # in exactly this operation order: it fixes the rounding of every
+        # parameter bit
+        np.divide(m, bc1, out=buf)
+        buf *= cfg.lr
+        den = np.divide(v, bc2)
+        np.sqrt(den, out=den)
+        den += cfg.eps
+        buf /= den
         if cfg.weight_decay > 0.0 and decayed(name):
-            update = update + cfg.lr * cfg.weight_decay * tensor.data
-        tensor.data = (tensor.data - update).astype(tensor.data.dtype)
+            np.multiply(data, cfg.lr * cfg.weight_decay, out=den)
+            buf += den
+        data -= buf

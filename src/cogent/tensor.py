@@ -2,8 +2,10 @@
 
 Values are stored as 32-bit floats; dot products and reductions accumulate
 in 64-bit and round back, so finite-difference checks stay meaningful at
-desk scale. A float64 storage mode (pass float64 data in) is available for
-verification harnesses that need finite differences below float32 noise.
+desk scale. A product with a 2-D right operand (every affine layer) runs as
+one 2-D float64 GEMM, for the forward pass and for each gradient. A float64
+storage mode (pass float64 data in) is available for verification harnesses
+that need finite differences below float32 noise.
 
 Gradient accumulation is additive: callers must zero gradients between
 optimization steps.
@@ -205,9 +207,11 @@ def _coerce(x) -> Tensor:
 
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
-    if any(_needs_grad(p) for p in parents):
-        out._parents = tuple(parents)
-        out._backward = backward
+    for p in parents:
+        if p.requires_grad or p._parents:
+            out._parents = tuple(parents)
+            out._backward = backward
+            break
     return out
 
 
@@ -387,7 +391,13 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Batched matrix product; leading dimensions broadcast."""
+    """Matrix product accumulated in float64, rounded to the operands' dtype.
+
+    With a 2-D right operand, the left operand's leading dimensions fold
+    into rows: the product and both gradients are then one 2-D GEMM each,
+    `(rows, K) @ (K, N)`, `g @ b.T` and `a.T @ g`. Otherwise leading
+    dimensions broadcast as in `np.matmul` (batched attention products).
+    """
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(
@@ -398,22 +408,44 @@ def matmul(a, b) -> Tensor:
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
     out_dtype = np.result_type(a.data.dtype, b.data.dtype)
-    data = np.matmul(
-        a.data.astype(np.float64, copy=False), b.data.astype(np.float64, copy=False)
-    ).astype(out_dtype)
-
-    def backward(g):
-        g64 = g.astype(np.float64, copy=False)
-        a64 = a.data.astype(np.float64, copy=False)
-        b64 = b.data.astype(np.float64, copy=False)
-        ga = np.matmul(g64, np.swapaxes(b64, -1, -2))
-        gb = np.matmul(np.swapaxes(a64, -1, -2), g64)
-        return (
-            (a, _unbroadcast(ga, a.shape).astype(a.data.dtype)),
-            (b, _unbroadcast(gb, b.shape).astype(b.data.dtype)),
+    if b.ndim == 2:
+        n = b.shape[1]
+        rows = math.prod(a.shape[:-1])
+        data = (_rows64(a.data, rows) @ _as64(b.data)).reshape(
+            a.shape[:-1] + (n,)
         )
 
-    return _result(data, (a, b), backward)
+        def backward(g):
+            g2 = _rows64(g, rows)
+            ga = (g2 @ _as64(b.data).T).reshape(a.shape)
+            gb = _rows64(a.data, rows).T @ g2
+            return (
+                (a, ga.astype(a.data.dtype, copy=False)),
+                (b, gb.astype(b.data.dtype, copy=False)),
+            )
+
+    else:
+        data = np.matmul(_as64(a.data), _as64(b.data))
+
+        def backward(g):
+            g64 = _as64(g)
+            ga = np.matmul(g64, np.swapaxes(_as64(b.data), -1, -2))
+            gb = np.matmul(np.swapaxes(_as64(a.data), -1, -2), g64)
+            return (
+                (a, _unbroadcast(ga, a.shape).astype(a.data.dtype, copy=False)),
+                (b, _unbroadcast(gb, b.shape).astype(b.data.dtype, copy=False)),
+            )
+
+    return _result(data.astype(out_dtype, copy=False), (a, b), backward)
+
+
+def _as64(x: np.ndarray) -> np.ndarray:
+    return x.astype(np.float64, copy=False)
+
+
+def _rows64(x: np.ndarray, rows: int) -> np.ndarray:
+    """`x` as a float64 (rows, last-dim) matrix."""
+    return _as64(x.reshape(rows, x.shape[-1]))
 
 
 # -- nonlinearities ----------------------------------------------------------

@@ -227,7 +227,7 @@ def _snapshot(
 ) -> Checkpoint:
     return Checkpoint(
         config=dict(settings.config_dict),
-        params={name: t.data.copy() for name, t in params.items()},
+        params=params.state_arrays(),
         lambda_c=lambdas[0],
         lambda_r=lambdas[1],
         epoch=epoch,
@@ -399,10 +399,9 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
     t_len = int(cfg["data.T"])
     d_chan = int(cfg["data.D"])
     n_patches = t_len // L
-    tensors = {
-        name: Tensor(arr.copy(), requires_grad=True)
-        for name, arr in ckpt.params.items()
-    }
+    # inference only reads the parameters, so they share the checkpoint's
+    # arrays and build no backward graph
+    tensors = {name: Tensor(arr) for name, arr in ckpt.params.items()}
     params = ModelParams(
         tensors=tensors,
         pos=sinusoid_table(n_patches + 1, dm),

@@ -89,6 +89,27 @@ class TestPretrainCommand:
         assert rc == 1
 
 
+    @pytest.mark.parametrize(
+        "name, content",
+        [
+            ("train.csv", b"0,1.0\xe9\n"),
+            ("meta.json", b'{"T": 96,'),
+            ("meta.json", b'{"T": "x", "D": 1, "num_classes": 3}'),
+        ],
+    )
+    def test_malformed_corpus_exits_1(
+        self, corpus_dir, tmp_path, capsys, name, content
+    ):
+        bad = tmp_path / "badcorpus"
+        bad.mkdir()
+        for f in corpus_dir.iterdir():
+            (bad / f.name).write_bytes(f.read_bytes())
+        (bad / name).write_bytes(content)
+        rc = main(["pretrain", "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert f"error: {bad / name}" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def finetune_dir(tmp_path_factory, corpus_dir, pretrain_dir):
     out = tmp_path_factory.mktemp("ft")

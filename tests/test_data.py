@@ -84,6 +84,31 @@ class TestLoadCorpus:
         with pytest.raises(ParseError, match="test.csv"):
             load_corpus(tmp_path)
 
+    def test_non_ascii_byte_names_file_and_line(self, tmp_path):
+        meta = DatasetMeta(T=2, D=1, num_classes=2, name="bad")
+        save_corpus(tmp_path, Corpus(meta, _samples([0], T=2), _samples([0], T=2), _samples([0], T=2)))
+        (tmp_path / "train.csv").write_bytes(b"0,1.0,2.0\n1,1.0,2\xc3\xa9\n")
+        with pytest.raises(ParseError, match=r"train\.csv:2: non-ASCII byte 0xc3"):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "manifest, message",
+        [
+            (b'{"T": 2, "D": 1,', "not a valid JSON manifest"),
+            (b'{"T": 2, "D": 1, "num_classes": 2, "name": "\xff"}', "not a valid JSON manifest"),
+            (b"[2, 1, 2]", "must be a JSON object"),
+            (b'{"T": "two", "D": 1, "num_classes": 2}', "'T' must be an integer"),
+            (b'{"T": 2.5, "D": 1, "num_classes": 2}', "'T' must be an integer"),
+            (b'{"T": 2, "num_classes": 2}', "missing manifest key 'D'"),
+        ],
+    )
+    def test_bad_manifest_names_file(self, tmp_path, manifest, message):
+        meta = DatasetMeta(T=2, D=1, num_classes=2, name="bad")
+        save_corpus(tmp_path, Corpus(meta, _samples([0], T=2), _samples([0], T=2), _samples([0], T=2)))
+        (tmp_path / "meta.json").write_bytes(manifest)
+        with pytest.raises(ParseError, match=r"meta\.json: .*" + message):
+            load_corpus(tmp_path)
+
     def test_long_series_layout(self, tmp_path):
         meta = DatasetMeta(T=1280, D=1, num_classes=3, name="bench1280")
         corpus = Corpus(

@@ -89,3 +89,58 @@ class TestAdamStep:
         assert not decayed("patch_proj.b")
         assert not decayed("cls_token")
         assert not decayed("mask_token")
+
+
+def reference_adam(data, m, v, g, t, cfg, decay):
+    """Adam written out of place; the in-place step must match it bit for bit."""
+    m = m * cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v = v * cfg.beta2
+    v += (1.0 - cfg.beta2) * (g * g)
+    m_hat = m / (1.0 - cfg.beta1**t)
+    v_hat = v / (1.0 - cfg.beta2**t)
+    update = cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.eps)
+    if decay:
+        update = update + cfg.lr * cfg.weight_decay * data
+    return (data - update).astype(data.dtype), m, v
+
+
+class TestInPlaceUpdate:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_to_out_of_place_formula(self, weight_decay):
+        params = tiny_params()
+        state = AdamState.for_params(params)
+        cfg = AdamConfig(lr=3e-3, weight_decay=weight_decay)
+        ref = {
+            k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+            for k, t in params.items()
+        }
+        rng = np.random.default_rng(4)
+        for step in range(1, 5):
+            for name, t in params.items():
+                t.grad = rng.normal(size=t.shape).astype(np.float32)
+                data, m, v = ref[name]
+                ref[name] = reference_adam(
+                    data, m, v, t.grad, step, cfg,
+                    weight_decay > 0.0 and decayed(name),
+                )
+            adam_step(params, state, cfg)
+            for name, t in params.items():
+                data, m, v = ref[name]
+                assert np.array_equal(t.data, data), name
+                assert np.array_equal(state.m[name], m), name
+                assert np.array_equal(state.v[name], v), name
+
+    def test_arrays_taken_before_a_step_keep_their_values(self):
+        params = tiny_params()
+        state = AdamState.for_params(params)
+        fill_zero_grads(params)
+        params.tensors["patch_proj.b"].grad = np.ones(4, np.float32)
+        kept = params.state_arrays()
+        before = {k: a.copy() for k, a in kept.items()}
+        live = params["patch_proj.b"].data
+        adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.5))
+        assert params["patch_proj.b"].data is live  # updated in place
+        assert not np.array_equal(live, before["patch_proj.b"])
+        for name, arr in kept.items():
+            assert np.array_equal(arr, before[name]), name

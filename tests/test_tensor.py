@@ -75,6 +75,61 @@ class TestMatmul:
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((2, 2)), rtol=1e-5)
 
 
+def _batched_reference(a, b, g):
+    """np.matmul's per-item products in float64, the weight gradient summed
+    over the leading dimensions afterwards; rounded to the storage dtype."""
+    a64, b64, g64 = (x.astype(np.float64) for x in (a, b, g))
+    out = np.matmul(a64, b64)
+    ga = np.matmul(g64, b64.T)
+    gb = np.matmul(np.swapaxes(a64, -1, -2), g64)
+    gb = gb.reshape((-1,) + b.shape).sum(axis=0)
+    return tuple(x.astype(a.dtype) for x in (out, ga, gb))
+
+
+def _folded_run(a, b, g):
+    ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+    out = matmul(ta, tb)
+    tsum(out * Tensor(g)).backward()
+    return out.data, ta.grad, tb.grad
+
+
+FOLD_SHAPES = [((6, 5), (5, 3)), ((5, 7, 3), (3, 4)), ((2, 3, 5, 4), (4, 6))]
+
+
+class TestFoldedMatmul:
+    """A 2-D right operand runs as one GEMM over folded rows, same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a_shape, b_shape", FOLD_SHAPES)
+    def test_exact_sums_equal_batched_reference(self, dtype, a_shape, b_shape):
+        # eighths in [-2, 2]: every product and partial sum is exact in
+        # float64, so any summation order gives the same bits in either storage
+        rng = np.random.default_rng(5)
+        a, b = (rng.integers(-16, 17, size=s).astype(dtype) / 8 for s in (a_shape, b_shape))
+        g = rng.integers(-16, 17, size=a_shape[:-1] + b_shape[-1:]).astype(dtype) / 8
+        got = _folded_run(a, b, g)
+        for x, ref in zip(got, _batched_reference(a, b, g)):
+            assert x.dtype == dtype and x.shape == ref.shape
+            assert np.array_equal(x, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "a_shape, b_shape", FOLD_SHAPES + [((16, 21, 64), (64, 32))]
+    )
+    def test_random_values(self, dtype, a_shape, b_shape):
+        # float32 storage (training) keeps its bits. In float64 storage the
+        # weight gradient's last bits can differ: one GEMM sums all rows, the
+        # reference sums per-item products afterwards.
+        rng = np.random.default_rng(9)
+        a, b = (rng.normal(size=s).astype(dtype) for s in (a_shape, b_shape))
+        g = rng.normal(size=a_shape[:-1] + b_shape[-1:]).astype(dtype)
+        for x, ref in zip(_folded_run(a, b, g), _batched_reference(a, b, g)):
+            if dtype == np.float32:
+                assert np.array_equal(x, ref)
+            else:
+                np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
+
+
 class TestSoftmax:
     def test_uniform_input(self):
         out = softmax(Tensor(np.zeros(3, dtype=np.float32)), axis=0)

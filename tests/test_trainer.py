@@ -9,7 +9,7 @@ from cogent.checkpoint import load_checkpoint, save_checkpoint
 from cogent.data import Corpus, DatasetMeta, SplitPlan, gen_synthetic
 from cogent.errors import ConfigError, ContractError
 from cogent.losses import LossConfig
-from cogent.model import ModelConfig
+from cogent.model import ModelConfig, classify, encode
 from cogent.patchmask import PatchConfig
 from cogent.trainer import (
     RunSettings,
@@ -17,6 +17,7 @@ from cogent.trainer import (
     evaluate,
     export_embeddings,
     finetune,
+    params_from_checkpoint,
     pretrain,
     run_ablation,
 )
@@ -251,6 +252,17 @@ class TestEvaluateAndExport:
             evaluate(ckpt, corpus.test)
         with pytest.raises(ConfigError, match="no trained classifier"):
             export_embeddings(ckpt, corpus.test)
+
+    def test_inference_builds_no_graph(self, corpus, cogent_ckpt):
+        ckpt, _ = cogent_ckpt
+        tuned, _ = finetune(ckpt, corpus, make_settings(seed=0, epochs_finetune=1))
+        params, patch_cfg = params_from_checkpoint(tuned)
+        n = patch_cfg.n_patches(96)
+        tokens = np.zeros((2, n, 16), dtype=np.float32)
+        idx = np.tile(np.arange(n), (2, 1))
+        logits, hidden = classify(encode(tokens, idx, params), params, return_hidden=True)
+        assert logits._parents == () and hidden._parents == ()
+        assert not any(t.requires_grad for _, t in params.items())
 
     def test_empty_split_rejected(self, corpus, cogent_ckpt):
         ckpt, _ = cogent_ckpt
