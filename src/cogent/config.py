@@ -144,6 +144,10 @@ def resolve_config(
                 doc = json.load(fh)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(
+                f"{path}: not UTF-8 text (byte {e.start}: {e.object[e.start]:#04x})"
+            ) from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")
         for key, value in _flatten(doc).items():

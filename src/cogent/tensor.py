@@ -1,11 +1,18 @@
 """Dense-tensor arithmetic with reverse-mode gradients.
 
-Values are stored as 32-bit floats; dot products and reductions accumulate
-in 64-bit and round back, so finite-difference checks stay meaningful at
-desk scale. A product with a 2-D right operand (every affine layer) runs as
-one 2-D float64 GEMM, for the forward pass and for each gradient. A float64
-storage mode (pass float64 data in) is available for verification harnesses
-that need finite differences below float32 noise.
+Values are stored as 32-bit floats. Where sums accumulate:
+
+- a product with a 2-D right operand (every affine layer, and the
+  contrastive similarity matrix) is one GEMM in the storage dtype, for the
+  forward pass and for each gradient; it sums over features;
+- a batched-by-batched product (attention, the decoder's scatter) sums over
+  tokens in float64 and rounds back, which keeps the encoder exactly
+  equivariant to token permutations;
+- reductions (`tsum`, `tmean`) accumulate in float64 and round back.
+
+A float64 storage mode (pass float64 data in) is available for verification
+harnesses that need finite differences below float32 noise; every product
+and gradient then runs in float64.
 
 Gradient accumulation is additive: callers must zero gradients between
 optimization steps.
@@ -391,12 +398,16 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product accumulated in float64, rounded to the operands' dtype.
+    """Matrix product, rounded to the operands' dtype.
 
-    With a 2-D right operand, the left operand's leading dimensions fold
-    into rows: the product and both gradients are then one 2-D GEMM each,
-    `(rows, K) @ (K, N)`, `g @ b.T` and `a.T @ g`. Otherwise leading
-    dimensions broadcast as in `np.matmul` (batched attention products).
+    With a 2-D right operand (affine layers, feature-axis similarities), the
+    left operand's leading dimensions fold into rows: the product and both
+    gradients are then one 2-D GEMM each, `(rows, K) @ (K, N)`, `g @ b.T`
+    and `a.T @ g`, run in the storage dtype (float32 in training, float64
+    under the gradient criterion). Otherwise leading dimensions broadcast as
+    in `np.matmul` (attention's `q @ k^T` and `attn @ v`, the decoder's
+    scatter), and the product and gradients accumulate in float64: these sum
+    over tokens, and float64 sums keep token permutation equivariance exact.
     """
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -411,14 +422,13 @@ def matmul(a, b) -> Tensor:
     if b.ndim == 2:
         n = b.shape[1]
         rows = math.prod(a.shape[:-1])
-        data = (_rows64(a.data, rows) @ _as64(b.data)).reshape(
-            a.shape[:-1] + (n,)
-        )
+        a2 = a.data.reshape(rows, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
 
         def backward(g):
-            g2 = _rows64(g, rows)
-            ga = (g2 @ _as64(b.data).T).reshape(a.shape)
-            gb = _rows64(a.data, rows).T @ g2
+            g2 = g.reshape(rows, n)
+            ga = (g2 @ b.data.T).reshape(a.shape)
+            gb = a2.T @ g2
             return (
                 (a, ga.astype(a.data.dtype, copy=False)),
                 (b, gb.astype(b.data.dtype, copy=False)),
@@ -441,11 +451,6 @@ def matmul(a, b) -> Tensor:
 
 def _as64(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64, copy=False)
-
-
-def _rows64(x: np.ndarray, rows: int) -> np.ndarray:
-    """`x` as a float64 (rows, last-dim) matrix."""
-    return _as64(x.reshape(rows, x.shape[-1]))
 
 
 # -- nonlinearities ----------------------------------------------------------

@@ -462,7 +462,7 @@ def finetune(
                 f"checkpoint lacks encoder tensors: {', '.join(missing[:3])}"
             )
         for name in encoder:
-            params.tensors[name].data = ckpt.params[name].astype(np.float32).copy()
+            params.tensors[name].data = ckpt.params[name].astype(np.float32)
     adam_state = AdamState.for_params(params)
     adam_cfg = AdamConfig(
         lr=tc.lr_finetune,

@@ -80,6 +80,17 @@ class TestPretrainCommand:
         )
         assert rc == 1
 
+    def test_non_utf8_config_file_exits_1(self, corpus_dir, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_bytes(b'{"seed": "\xff"}')
+        rc = main(
+            ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]
+            + ["--config", str(config)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "UTF-8" in err and "0xff" in err
+
     def test_constraint_violation_exits_1(self, corpus_dir, tmp_path):
         rc = main(
             ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path)]

@@ -1,11 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from cogent import optim
 from cogent.data import DatasetMeta
 from cogent.errors import ContractError
 from cogent.model import ModelConfig, init_params
 from cogent.optim import AdamConfig, AdamState, adam_step, decayed
 from cogent.patchmask import PatchConfig
+from cogent.tensor import Tensor
 
 
 def tiny_params():
@@ -82,6 +86,28 @@ class TestAdamStep:
         with pytest.raises(ContractError, match="enc.0.mlp.fc1.w"):
             adam_step(params, state, AdamConfig(lr=0.1))
 
+    @pytest.mark.parametrize("bad", ["missing", "nan", "inf"])
+    def test_bad_gradient_refused_before_anything_moves(self, bad):
+        # the last tensor's gradient is bad; the tensors before it, their
+        # moments and the step counter must not have moved
+        params = tiny_params()
+        state = AdamState.for_params(params)
+        rng = np.random.default_rng(2)
+        for _, t in params.items():
+            t.grad = rng.normal(size=t.shape).astype(np.float32)
+        last = list(params.tensors)[-1]
+        if bad == "missing":
+            params.tensors[last].zero_grad()
+        else:
+            params.tensors[last].grad.flat[-1] = np.nan if bad == "nan" else np.inf
+        before = params.state_arrays()
+        with pytest.raises(ContractError, match=last):
+            adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.5))
+        assert state.step == 0
+        for name, t in params.items():
+            assert np.array_equal(t.data, before[name]), name
+            assert not state.m[name].any() and not state.v[name].any(), name
+
     def test_decay_never_touches_norms_biases_tokens(self):
         assert decayed("enc.0.attn.wq.w")
         assert not decayed("enc.0.ln1.g")
@@ -105,31 +131,53 @@ def reference_adam(data, m, v, g, t, cfg, decay):
     return (data - update).astype(data.dtype), m, v
 
 
+def check_against_reference(params, weight_decay, dtype):
+    """Four steps of `adam_step` equal `reference_adam`, bit for bit."""
+    state = AdamState.for_params(params)
+    cfg = AdamConfig(lr=3e-3, weight_decay=weight_decay)
+    ref = {
+        k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
+        for k, t in params.items()
+    }
+    rng = np.random.default_rng(4)
+    for step in range(1, 5):
+        for name, t in params.items():
+            t.grad = rng.normal(size=t.shape).astype(dtype)
+            data, m, v = ref[name]
+            ref[name] = reference_adam(
+                data, m, v, t.grad, step, cfg,
+                weight_decay > 0.0 and decayed(name),
+            )
+        adam_step(params, state, cfg)
+        for name, t in params.items():
+            data, m, v = ref[name]
+            assert t.data.dtype == dtype
+            assert np.array_equal(t.data, data), name
+            assert np.array_equal(state.m[name], m), name
+            assert np.array_equal(state.v[name], v), name
+
+
 class TestInPlaceUpdate:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
     def test_bit_identical_to_out_of_place_formula(self, weight_decay):
-        params = tiny_params()
-        state = AdamState.for_params(params)
-        cfg = AdamConfig(lr=3e-3, weight_decay=weight_decay)
-        ref = {
-            k: (t.data.copy(), np.zeros_like(t.data), np.zeros_like(t.data))
-            for k, t in params.items()
+        check_against_reference(tiny_params(), weight_decay, np.float32)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_multi_block_tensors_bit_identical(self, weight_decay, dtype):
+        # "big.w" spans three whole update blocks and a 256-element
+        # remainder; the two small tensors fit in one partial block each
+        rows = 3 * optim._BLOCK // 256 + 1
+        rng = np.random.default_rng(8)
+        shapes = {"big.w": (rows, 256), "big.b": (256,), "tok": (1, 3)}
+        tensors = {
+            name: Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for name, shape in shapes.items()
         }
-        rng = np.random.default_rng(4)
-        for step in range(1, 5):
-            for name, t in params.items():
-                t.grad = rng.normal(size=t.shape).astype(np.float32)
-                data, m, v = ref[name]
-                ref[name] = reference_adam(
-                    data, m, v, t.grad, step, cfg,
-                    weight_decay > 0.0 and decayed(name),
-                )
-            adam_step(params, state, cfg)
-            for name, t in params.items():
-                data, m, v = ref[name]
-                assert np.array_equal(t.data, data), name
-                assert np.array_equal(state.m[name], m), name
-                assert np.array_equal(state.v[name], v), name
+        assert tensors["big.w"].data.size > 3 * optim._BLOCK
+        assert tensors["big.w"].data.size % optim._BLOCK
+        params = dataclasses.replace(tiny_params(), tensors=tensors)
+        check_against_reference(params, weight_decay, dtype)
 
     def test_arrays_taken_before_a_step_keep_their_values(self):
         params = tiny_params()

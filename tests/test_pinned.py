@@ -14,6 +14,12 @@ on, and another kernel may sum in another order, so the same code can give
 other bits on another CPU or BLAS build. A mismatch there is a reason to
 re-record the digests (at the parent commit too, and stating the host), not
 by itself a regression.
+
+The pretraining-log digests of `cogent` and `contrastive_only` were
+re-recorded when affine products and the contrastive similarity matrix
+moved from float64 to float32 GEMMs (`tensor.matmul`): their loss values
+changed in the last bits. The fine-tuning and test-metric digests did not
+move in any mode.
 """
 
 import hashlib
@@ -42,7 +48,7 @@ PINNED = {
     "cogent": (
         {"loss.mode": "cogent"},
         (
-            "ecfee18f5caa40631eccd458bcd1c486952955342398a0b3262cd52f828d1e02",
+            "b2354adc0c858732f1817f552c713f50f17567f647807b6693f92736341dffe1",
             "f6d86ece04ee127be20ca7b72d0e356bbf30ab16d53a6a04e0cd4cb479c0ff7a",
             "ff94f869c4853804cf05a5c0f4418f250b4108e766c544bf688620562cef9df2",
         ),
@@ -58,7 +64,7 @@ PINNED = {
     "contrastive_only": (
         {"loss.mode": "contrastive_only"},
         (
-            "890cf12246c666d3fd6eefbfd02eb28e14604f2b3925d7873d406fd76b126d2a",
+            "d78bd46076ab20bed0933235051fefbf16d69572fefcc32e247f414642edc585",
             "e1b32f19d480cc9b9e9381bfa0d0d5e21072c275c91c872479d03e4fc8f5ff11",
             "ca02997743d322eda9822587d9b4f41a4da9f8e8d925f7e5b3e5fc31d03efe88",
         ),

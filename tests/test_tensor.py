@@ -86,7 +86,7 @@ def _batched_reference(a, b, g):
     return tuple(x.astype(a.dtype) for x in (out, ga, gb))
 
 
-def _folded_run(a, b, g):
+def _matmul_run(a, b, g):
     ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
     out = matmul(ta, tb)
     tsum(out * Tensor(g)).backward()
@@ -107,7 +107,7 @@ class TestFoldedMatmul:
         rng = np.random.default_rng(5)
         a, b = (rng.integers(-16, 17, size=s).astype(dtype) / 8 for s in (a_shape, b_shape))
         g = rng.integers(-16, 17, size=a_shape[:-1] + b_shape[-1:]).astype(dtype) / 8
-        got = _folded_run(a, b, g)
+        got = _matmul_run(a, b, g)
         for x, ref in zip(got, _batched_reference(a, b, g)):
             assert x.dtype == dtype and x.shape == ref.shape
             assert np.array_equal(x, ref)
@@ -117,17 +117,64 @@ class TestFoldedMatmul:
         "a_shape, b_shape", FOLD_SHAPES + [((16, 21, 64), (64, 32))]
     )
     def test_random_values(self, dtype, a_shape, b_shape):
-        # float32 storage (training) keeps its bits. In float64 storage the
-        # weight gradient's last bits can differ: one GEMM sums all rows, the
-        # reference sums per-item products afterwards.
+        # The product and both gradients are exactly the storage-dtype GEMMs
+        # of the folded operands. In float64 storage the weight gradient's
+        # last bits can differ from the reference, which sums per-item
+        # products afterwards. In float32 storage each dot product of length
+        # K is within the standard bound gamma_K * sum|x_i * y_i| (gamma_K =
+        # K*u / (1 - K*u), u = 2**-24) of the exact one, plus one rounding.
         rng = np.random.default_rng(9)
         a, b = (rng.normal(size=s).astype(dtype) for s in (a_shape, b_shape))
         g = rng.normal(size=a_shape[:-1] + b_shape[-1:]).astype(dtype)
-        for x, ref in zip(_folded_run(a, b, g), _batched_reference(a, b, g)):
-            if dtype == np.float32:
-                assert np.array_equal(x, ref)
-            else:
+        a2, g2 = a.reshape(-1, a.shape[-1]), g.reshape(-1, g.shape[-1])
+        gemms = ((a2 @ b).reshape(g.shape), (g2 @ b.T).reshape(a.shape), a2.T @ g2)
+        got = _matmul_run(a, b, g)
+        for x, gemm in zip(got, gemms):
+            assert x.dtype == dtype and np.array_equal(x, gemm)
+        if dtype == np.float64:
+            for x, ref in zip(got, _batched_reference(a, b, g)):
                 np.testing.assert_allclose(x, ref, rtol=1e-12, atol=1e-12)
+            return
+        u = 2.0**-24
+        a64, b64, g64 = (
+            x.astype(np.float64).reshape(-1, x.shape[-1]) for x in (a, b, g)
+        )
+        exact = (a64 @ b64, g64 @ b64.T, a64.T @ g64)
+        magnitude = (
+            abs(a64) @ abs(b64), abs(g64) @ abs(b64.T), abs(a64.T) @ abs(g64)
+        )
+        lengths = (a.shape[-1], b.shape[-1], a2.shape[0])
+        for x, ref, mag, k in zip(got, exact, magnitude, lengths):
+            gamma = k * u / (1 - k * u)
+            err = abs(x.reshape(ref.shape).astype(np.float64) - ref)
+            assert np.all(err <= gamma * mag + u * abs(ref))
+
+
+class TestBatchedMatmul:
+    """Batched-by-batched products (attention, the decoder's scatter) sum in
+    float64: they sum over tokens, and float64 sums keep the encoder's token
+    permutation equivariance exact."""
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((2, 3, 7, 64), (2, 3, 64, 7)), ((4, 7, 64), (4, 64, 16))],
+    )
+    def test_float64_product_rounded_to_float32(self, a_shape, b_shape):
+        rng = np.random.default_rng(13)
+        a, b = (rng.normal(size=s).astype(np.float32) for s in (a_shape, b_shape))
+        g = rng.normal(size=a_shape[:-1] + b_shape[-1:]).astype(np.float32)
+        got = _matmul_run(a, b, g)
+        a64, b64, g64 = (x.astype(np.float64) for x in (a, b, g))
+        refs = (
+            a64 @ b64,
+            g64 @ np.swapaxes(b64, -1, -2),
+            np.swapaxes(a64, -1, -2) @ g64,
+        )
+        for x, ref in zip(got, refs):
+            assert x.dtype == np.float32
+            assert np.array_equal(x, ref.astype(np.float32))
+        # the check has teeth: float32 accumulation gives other bits
+        assert not np.array_equal(got[0], a @ b)
 
 
 class TestSoftmax:
