@@ -25,7 +25,6 @@ from .losses import (
     balance_lambdas,
     contrastive_loss,
     joint_loss,
-    reconstruction_loss,
 )
 from .metrics import MetricReport, compute_metrics, silhouette_score
 from .model import (
@@ -38,7 +37,7 @@ from .model import (
     project_head,
 )
 from .optim import AdamConfig, AdamState, adam_step
-from .patchmask import PatchConfig, PatchedSample, apply_mask, patchify, sample_mask
+from .patchmask import PatchConfig, sample_mask
 from .tensor import Tensor, finite_diff_check, gelu, layer_norm, matmul, softmax
 from .trainer import (
     RunSettings,

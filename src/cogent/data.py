@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError
+from .errors import ConfigError, ParseError
 
 SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
@@ -158,7 +158,9 @@ def split_pretrain(
     """
     n = len(train)
     if n < 2:
-        raise ContractError(f"need at least 2 training samples to split, got {n}")
+        raise ConfigError(
+            f"the train split has {n} row(s); pretraining needs at least 2"
+        )
     idx = np.random.default_rng(plan.seed).permutation(n)
     n_pre = int(math.floor(plan.pretrain_fraction * n))
     n_pre = min(max(n_pre, 1), n - 1)
@@ -172,7 +174,7 @@ def sample_finetune_subset(
 ) -> list[TimeSeriesSample]:
     """Stratified subset: round(ratio * count_c) per class (at least 1)."""
     if not train:
-        raise ContractError("cannot subsample an empty training set")
+        raise ConfigError("the train split is empty; fine-tuning needs labelled rows")
     by_class: dict[int, list[int]] = {}
     for i, s in enumerate(train):
         by_class.setdefault(s.label, []).append(i)
@@ -194,7 +196,10 @@ def require_all_classes(
     present = {s.label for s in samples}
     for c in range(meta.num_classes):
         if c not in present:
-            raise ContractError(f"class {c} absent from training samples")
+            raise ConfigError(
+                f"class {c} is absent from the train split "
+                f"({meta.num_classes} classes expected)"
+            )
 
 
 def normalize(
@@ -277,6 +282,10 @@ def gen_synthetic(
         raise ConfigError(
             f"synthetic generator supports at most 8 classes, got {meta.num_classes}"
         )
+    if per_class < 1:
+        raise ConfigError(f"per_class must be >= 1, got {per_class}")
+    if sigma < 0:
+        raise ConfigError(f"sigma must be >= 0, got {sigma}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

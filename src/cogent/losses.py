@@ -118,24 +118,6 @@ def patch_reconstruction_term(p_hat: Tensor, p: Tensor) -> Tensor:
     return tsum(d * d) * (1.0 / (b * v))
 
 
-def reconstruction_loss(
-    p_hat: Tensor,
-    p: Tensor,
-    p_hat_aug: Tensor | None = None,
-    p_aug: Tensor | None = None,
-) -> tuple[Tensor, Tensor | None, Tensor]:
-    """Per-view reconstruction terms and their combination.
-
-    Returns (l_r_orig, l_r_aug, l_r) where l_r is the mean of the two view
-    terms, or l_r_orig alone when no augmented pair is supplied.
-    """
-    l_orig = patch_reconstruction_term(p_hat, p)
-    if p_hat_aug is None:
-        return l_orig, None, l_orig
-    l_aug = patch_reconstruction_term(p_hat_aug, p_aug)
-    return l_orig, l_aug, (l_orig + l_aug) * 0.5
-
-
 def contrastive_loss(
     h: Tensor, h_aug: Tensor, tau: float, symmetric: bool = False
 ) -> Tensor:

@@ -8,11 +8,11 @@ the same visible count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 
 
 @dataclass
@@ -41,23 +41,6 @@ class PatchConfig:
         return v
 
 
-@dataclass
-class PatchedSample:
-    patches: np.ndarray  # [N, L, D]
-    mask: np.ndarray  # [N] uint8, 1 = visible
-    visible_idx: np.ndarray = field(init=False)  # strictly increasing
-
-    def __post_init__(self):
-        self.visible_idx = np.nonzero(self.mask)[0]
-
-
-def patchify(x: np.ndarray, cfg: PatchConfig) -> np.ndarray:
-    """Split [T,D] into [N,L,D]; patch n covers rows [n*L, (n+1)*L)."""
-    T, D = x.shape
-    n = cfg.n_patches(T)
-    return x[: n * cfg.L].reshape(n, cfg.L, D)
-
-
 def sample_mask(n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
     """Binary mask with exactly round(theta * n) zeros at random positions."""
     if n < 1:
@@ -70,21 +53,6 @@ def sample_mask(n: int, theta: float, rng: np.random.Generator) -> np.ndarray:
         hidden = rng.choice(n, size=k_masked, replace=False)
         mask[hidden] = 0
     return mask
-
-
-def apply_mask(patches: np.ndarray, mask: np.ndarray) -> PatchedSample:
-    if patches.shape[0] != mask.shape[0]:
-        raise ContractError(
-            f"mask length {mask.shape[0]} does not match patch count "
-            f"{patches.shape[0]}"
-        )
-    return PatchedSample(patches=patches, mask=mask.astype(np.uint8))
-
-
-def visible_patches(ps: PatchedSample) -> np.ndarray:
-    """Gather visible patches in index order, flattened to [V, L*D]."""
-    sel = ps.patches[ps.visible_idx]
-    return sel.reshape(sel.shape[0], -1)
 
 
 def batch_patchify_mask(

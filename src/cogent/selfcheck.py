@@ -2,8 +2,10 @@
 
 Each check re-derives an expected value through an independent route (scalar
 loops, closed forms, hand arithmetic, finite differences) and compares the
-library against it. The slow checks (full-model gradient check, a short
-convergence run) can be skipped with fast=True.
+library against it. This module is the only home of these oracles: the test
+suite runs every entry of CHECKS, and `cogent selfcheck` runs the same
+table. The slow checks (full-model gradient check, a short convergence run)
+can be skipped with fast=True.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,7 +23,7 @@ from .losses import (
     LossConfig,
     balance_lambdas,
     contrastive_loss,
-    reconstruction_loss,
+    patch_reconstruction_term,
 )
 from .metrics import auprc_binary, auroc_binary, macro_prf, silhouette_score
 from .model import ModelConfig, encode, init_params
@@ -87,44 +90,68 @@ def _quadratic_gradcheck():
     assert err < 1e-4, f"quadratic gradient error {err}"
 
 
-def _ntxent_oracles():
-    # identity pair, closed form, and brute force
-    h = Tensor(np.array([[0.6, -0.8]], np.float32))
-    assert contrastive_loss(h, Tensor(h.data.copy()), tau=0.2).item() == 0.0
-    for b in (2, 3, 4):
-        row = np.full((b, 8), 0.3, np.float32)
-        got = contrastive_loss(Tensor(row), Tensor(row.copy()), tau=0.2).item()
-        assert abs(got - math.log(2 * b - 1)) < 1e-5, f"closed form failed at B={b}"
-    rng = np.random.default_rng(1)
-    for _ in range(20):
-        b = int(rng.integers(1, 5))
-        d = int(rng.integers(2, 9))
-        tau = float(rng.uniform(0.1, 1.0))
-        h = rng.normal(size=(b, d)).astype(np.float32)
-        h2 = rng.normal(size=(b, d)).astype(np.float32)
-        unit = [r / np.linalg.norm(r) for r in np.concatenate([h, h2]).astype(np.float64)]
-        expect = 0.0
-        for i in range(b):
-            pos = math.exp(float(np.dot(unit[i], unit[b + i])) / tau)
-            denom = sum(
-                math.exp(float(np.dot(unit[i], unit[k])) / tau)
-                for k in range(2 * b)
-                if k != i
-            )
-            expect += -math.log(pos / denom)
-        expect /= b
-        got = contrastive_loss(Tensor(h), Tensor(h2), tau=tau).item()
-        assert abs(got - expect) < 1e-5 * max(1.0, abs(expect)), (
-            f"brute force mismatch: {got} vs {expect}"
+def _ntxent_brute_force(h: np.ndarray, h_aug: np.ndarray, tau: float) -> float:
+    """Scalar-loop NT-Xent: cosine pairs, self excluded, mean over anchors."""
+    b = h.shape[0]
+    rows = np.concatenate([h, h_aug]).astype(np.float64)
+    unit = [r / np.linalg.norm(r) for r in rows]
+    total = 0.0
+    for i in range(b):
+        pos = math.exp(float(np.dot(unit[i], unit[b + i])) / tau)
+        denom = sum(
+            math.exp(float(np.dot(unit[i], unit[k])) / tau)
+            for k in range(2 * b)
+            if k != i
         )
+        total += -math.log(pos / denom)
+    return total / b
+
+
+def _ntxent_oracles():
+    # identity pairs, the equal-similarity closed form, and brute force
+    for row in ([0.6, -0.8], [3.0, -4.0], [0.3, -0.4, 0.5]):
+        h = np.array([row], np.float32)
+        got = contrastive_loss(Tensor(h), Tensor(h.copy()), tau=0.2).item()
+        assert got == 0.0, f"identical pair {row} gave {got}"
+    for fill in (0.25, 0.3, 0.4):
+        for b in (2, 3, 4):
+            row = np.full((b, 8), fill, np.float32)
+            got = contrastive_loss(Tensor(row), Tensor(row.copy()), tau=0.2).item()
+            assert abs(got - math.log(2 * b - 1)) < 1e-5, (
+                f"closed form failed at B={b}, fill {fill}"
+            )
+    rng = np.random.default_rng(3)
+    h = rng.normal(size=(3, 8)).astype(np.float32)
+    h2 = rng.normal(size=(3, 8)).astype(np.float32)
+    got = contrastive_loss(Tensor(h), Tensor(h2), tau=0.2).item()
+    assert abs(got - _ntxent_brute_force(h, h2, 0.2)) < 1e-5, "seed-3 instance"
+    for seed in (1, 123, 4):
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            b = int(rng.integers(1, 5))
+            d = int(rng.integers(2, 9))
+            tau = float(rng.uniform(0.1, 1.0))
+            h = rng.normal(size=(b, d)).astype(np.float32)
+            h2 = rng.normal(size=(b, d)).astype(np.float32)
+            expect = _ntxent_brute_force(h, h2, tau)
+            got = contrastive_loss(Tensor(h), Tensor(h2), tau=tau).item()
+            assert abs(got - expect) < 1e-5 * max(1.0, abs(expect)), (
+                f"brute force mismatch (seed {seed}): {got} vs {expect}"
+            )
+    rng = np.random.default_rng(8)
+    h = rng.normal(size=(3, 6)).astype(np.float32)
+    h2 = rng.normal(size=(3, 6)).astype(np.float32)
+    sym = contrastive_loss(Tensor(h), Tensor(h2), tau=0.2, symmetric=True).item()
+    expect = 0.5 * (_ntxent_brute_force(h, h2, 0.2) + _ntxent_brute_force(h2, h, 0.2))
+    assert abs(sym - expect) < 1e-5, f"symmetric variant: {sym} vs {expect}"
 
 
 def _recon_oracle():
     p = Tensor(np.array([[[1.0, 2.0]]], np.float32))
     p_hat = Tensor(np.zeros((1, 1, 2), np.float32))
     aug = Tensor(np.array([[[3.0, 4.0]]], np.float32))
-    l_orig, l_aug, l_r = reconstruction_loss(p_hat, p, aug, aug)
-    assert l_orig.item() == 5.0 and l_aug.item() == 0.0 and l_r.item() == 2.5
+    assert patch_reconstruction_term(p_hat, p).item() == 5.0  # 1 + 4
+    assert patch_reconstruction_term(aug, aug).item() == 0.0
 
 
 def _lambda_oracle():
@@ -152,9 +179,11 @@ def _adam_oracle():
 def _mask_arithmetic():
     cfg = PatchConfig(L=64, theta=0.75)
     assert cfg.n_patches(1280) == 20 and cfg.n_visible(1280) == 5
-    rng = np.random.default_rng(2)
-    for _ in range(1000):
-        assert int(sample_mask(20, 0.75, rng).sum()) == 5
+    for seed in (2, 7, 1):
+        rng = np.random.default_rng(seed)
+        for _ in range(1000):
+            count = int(sample_mask(20, 0.75, rng).sum())
+            assert count == 5, f"mask kept {count} of 20 patches (seed {seed})"
     meta = DatasetMeta(T=1280, D=1, num_classes=3, name="bench1280")
     params = init_params(ModelConfig(), cfg, meta)
     tokens = np.zeros((1, 5, 64), np.float32)
@@ -163,52 +192,96 @@ def _mask_arithmetic():
     assert z.shape == (1, 6, 512), f"encoder token count {z.shape}"
 
 
-def _metric_oracles():
-    labels = np.array([1, 0, 0])
-    preds = np.array([1, 1, 0])
-    _, _, f1 = macro_prf(labels, preds, 2)
-    assert abs(np.mean(f1) - 2.0 / 3.0) < 1e-12, "hand confusion-matrix F1 failed"
-    assert auroc_binary(np.array([0, 1, 1]) == 1, np.full(3, 0.5)) == 0.5
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        n = int(rng.integers(3, 51))
-        is_pos = rng.integers(0, 2, size=n).astype(bool)
-        scores = np.round(rng.uniform(0, 1, size=n), 1)
-        # brute-force threshold sweep
-        n_pos, n_neg = int(is_pos.sum()), int((~is_pos).sum())
-        if n_pos and n_neg:
-            pts = [(0.0, 0.0)]
-            for t in np.unique(scores)[::-1]:
-                sel = scores >= t
-                pts.append(
-                    (
-                        float(np.sum(sel & ~is_pos)) / n_neg,
-                        float(np.sum(sel & is_pos)) / n_pos,
-                    )
-                )
-            sweep = sum(
-                (x1 - x0) * 0.5 * (y0 + y1)
-                for (x0, y0), (x1, y1) in zip(pts, pts[1:])
+def _sweep_auroc(is_pos: np.ndarray, scores: np.ndarray) -> float:
+    """ROC trapezoid over every distinct threshold; 0.5 without both classes."""
+    n_pos, n_neg = int(is_pos.sum()), int((~is_pos).sum())
+    if n_pos == 0 or n_neg == 0:
+        return 0.5
+    pts = [(0.0, 0.0)]
+    for t in np.unique(scores)[::-1]:
+        sel = scores >= t
+        pts.append(
+            (
+                float(np.sum(sel & ~is_pos)) / n_neg,
+                float(np.sum(sel & is_pos)) / n_pos,
             )
-            assert abs(auroc_binary(is_pos, scores) - sweep) < 1e-9
-        if n_pos:
-            area, prev = 0.0, 0.0
-            for t in np.unique(scores)[::-1]:
-                sel = scores >= t
-                tp = float(np.sum(sel & is_pos))
-                area += (tp / n_pos - prev) * (tp / float(sel.sum()))
-                prev = tp / n_pos
-            assert abs(auprc_binary(is_pos, scores) - area) < 1e-9
+        )
+    return sum((x1 - x0) * 0.5 * (y0 + y1) for (x0, y0), (x1, y1) in zip(pts, pts[1:]))
+
+
+def _sweep_auprc(is_pos: np.ndarray, scores: np.ndarray) -> float:
+    """Step-wise precision-recall area over every distinct threshold."""
+    n_pos = int(is_pos.sum())
+    if n_pos == 0:
+        return 0.0
+    area, prev = 0.0, 0.0
+    for t in np.unique(scores)[::-1]:
+        sel = scores >= t
+        tp = float(np.sum(sel & is_pos))
+        area += (tp / n_pos - prev) * (tp / float(sel.sum()))
+        prev = tp / n_pos
+    return area
+
+
+def _check_sweeps(is_pos: np.ndarray, scores: np.ndarray) -> None:
+    got, expect = auroc_binary(is_pos, scores), _sweep_auroc(is_pos, scores)
+    assert abs(got - expect) < 1e-9, f"auroc {got} vs sweep {expect}"
+    got, expect = auprc_binary(is_pos, scores), _sweep_auprc(is_pos, scores)
+    assert abs(got - expect) < 1e-9, f"auprc {got} vs sweep {expect}"
+
+
+def _metric_oracles():
+    # hand confusion matrix: both per-class F1 are 2/3
+    _, _, f1 = macro_prf(np.array([1, 0, 0]), np.array([1, 1, 0]), 2)
+    for value in (*f1, np.mean(f1)):
+        assert abs(value - 2.0 / 3.0) < 1e-12, "hand confusion-matrix F1 failed"
+    for score in (0.5, 0.2):
+        got = auroc_binary(np.array([0, 1, 1]) == 1, np.full(3, score))
+        assert got == 0.5, f"auroc of tied scores {got}, expected 0.5"
+    # binary threshold sweeps on quantized (tied) scores
+    for seed in (3, 1, 2):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(3, 51))
+            is_pos = rng.integers(0, 2, size=n).astype(bool)
+            _check_sweeps(is_pos, np.round(rng.uniform(0, 1, size=n), 1))
+    # multiclass: exact rational per-class F1, one-vs-rest sweeps (seed 17)
+    for seed, with_scores in ((17, True), (0, False)):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(2, 51))
+            c = int(rng.integers(2, 5))
+            labels = rng.integers(0, c, size=n)
+            preds = rng.integers(0, c, size=n)
+            _, _, f1 = macro_prf(labels, preds, c)
+            for cls in range(c):
+                tp = int(np.sum((preds == cls) & (labels == cls)))
+                fp = int(np.sum((preds == cls) & (labels != cls)))
+                fn = int(np.sum((preds != cls) & (labels == cls)))
+                expect = (
+                    0.0
+                    if 2 * tp + fp + fn == 0
+                    else float(Fraction(2 * tp, 2 * tp + fp + fn))
+                )
+                assert f1[cls] == expect, f"F1 of class {cls}: {f1[cls]} vs {expect}"
+            if with_scores:
+                scores = np.round(rng.uniform(0, 1, size=(n, c)), 1)
+                for cls in range(c):
+                    _check_sweeps(labels == cls, scores[:, cls])
 
 
 def _silhouette_oracle():
+    # clusters {(0,0),(0,1)} and {(10,0),(10,1)}: a = 1,
+    # b = (10 + sqrt(101)) / 2, and every point scores (b - a) / b
     x = np.array([[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]])
     labels = np.array([0, 0, 1, 1])
     b = (10.0 + math.sqrt(101.0)) / 2.0
-    expect = (b - 1.0) / b
+    expect = (b - 1.0) / b  # = 0.900249...
     got = silhouette_score(x, labels)
     assert abs(got - expect) < 1e-9, f"silhouette {got} vs hand value {expect}"
+    assert abs(got - 0.900249) < 1e-4
     assert silhouette_score(np.ones((4, 2)), np.array([0, 0, 1, 1])) == 0.0
+    assert silhouette_score(np.full((6, 2), 3.0), np.array([0, 0, 0, 1, 1, 1])) == 0.0
 
 
 def _augment_oracles():
@@ -231,19 +304,24 @@ def _init_oracle():
 
 
 def _permutation_oracle():
+    # permuting visible patches together with their indices permutes the
+    # output rows and changes no values
     meta = DatasetMeta(T=16, D=1, num_classes=2, name="micro")
     params = init_params(
         ModelConfig(d_model=8, n_blocks=2, n_heads=2, mlp_ratio=4, proj_dim=8),
         PatchConfig(L=4, theta=0.25),
         meta,
     )
-    rng = np.random.default_rng(5)
-    tokens = rng.normal(size=(1, 3, 4)).astype(np.float32)
     idx = np.array([[0, 1, 3]])
-    z = encode(tokens, idx, params).data
     perm = [2, 0, 1]
-    z_perm = encode(tokens[:, perm], idx[:, perm], params).data
-    assert np.array_equal(z_perm[:, 1:], z[:, 1:][:, perm]), "permutation oracle failed"
+    for seed in (5, 1):
+        tokens = np.random.default_rng(seed).normal(size=(1, 3, 4)).astype(np.float32)
+        z = encode(tokens, idx, params).data
+        z_perm = encode(tokens[:, perm], idx[:, perm], params).data
+        assert np.array_equal(z_perm[:, 0], z[:, 0]), f"cls row moved (seed {seed})"
+        assert np.array_equal(z_perm[:, 1:], z[:, 1:][:, perm]), (
+            f"patch rows not permuted (seed {seed})"
+        )
 
 
 def _full_gradcheck():
@@ -297,27 +375,29 @@ def _convergence_run():
     assert hits / len(corpus.test) >= 0.95, "synthetic corpus is not separable"
 
 
+CHECKS = (
+    ("matmul scalar-loop oracle", _matmul_oracle),
+    ("softmax closed forms", _softmax_oracle),
+    ("layer_norm two-point row", _layer_norm_oracle),
+    ("gelu gaussian cdf at 1", _gelu_oracle),
+    ("finite-difference quadratic", _quadratic_gradcheck),
+    ("nt-xent closed forms and brute force", _ntxent_oracles),
+    ("reconstruction hand arithmetic", _recon_oracle),
+    ("loss-weight balancing ratio", _lambda_oracle),
+    ("adam first-step closed form", _adam_oracle),
+    ("patch/mask arithmetic (1280/64/0.75)", _mask_arithmetic),
+    ("metric oracles (f1/auroc/auprc)", _metric_oracles),
+    ("silhouette hand example", _silhouette_oracle),
+    ("augmentation statistics", _augment_oracles),
+    ("parameter init determinism", _init_oracle),
+    ("positional permutation equivariance", _permutation_oracle),
+    ("full joint-loss gradient check", _full_gradcheck),
+    ("synthetic convergence run", _convergence_run),
+)
+SLOW = frozenset({"full joint-loss gradient check", "synthetic convergence run"})
+
+
 def run_selfcheck(fast: bool = False) -> list[CheckResult]:
-    checks = [
-        ("matmul scalar-loop oracle", _matmul_oracle),
-        ("softmax closed forms", _softmax_oracle),
-        ("layer_norm two-point row", _layer_norm_oracle),
-        ("gelu gaussian cdf at 1", _gelu_oracle),
-        ("finite-difference quadratic", _quadratic_gradcheck),
-        ("nt-xent closed forms and brute force", _ntxent_oracles),
-        ("reconstruction hand arithmetic", _recon_oracle),
-        ("loss-weight balancing ratio", _lambda_oracle),
-        ("adam first-step closed form", _adam_oracle),
-        ("patch/mask arithmetic (1280/64/0.75)", _mask_arithmetic),
-        ("metric oracles (f1/auroc/auprc)", _metric_oracles),
-        ("silhouette hand example", _silhouette_oracle),
-        ("augmentation statistics", _augment_oracles),
-        ("parameter init determinism", _init_oracle),
-        ("positional permutation equivariance", _permutation_oracle),
+    return [
+        _check(name, fn) for name, fn in CHECKS if not (fast and name in SLOW)
     ]
-    if not fast:
-        checks += [
-            ("full joint-loss gradient check", _full_gradcheck),
-            ("synthetic convergence run", _convergence_run),
-        ]
-    return [_check(name, fn) for name, fn in checks]

@@ -29,10 +29,8 @@ from scipy.special import erf as _erf
 __all__ = [
     "Tensor",
     "ShapeError",
-    "tensor",
     "matmul",
     "softmax",
-    "log_softmax",
     "layer_norm",
     "gelu",
     "relu",
@@ -194,12 +192,6 @@ class Tensor:
 
     def mean(self, axis=None, keepdims=False):
         return tmean(self, axis=axis, keepdims=keepdims)
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    if isinstance(data, Tensor):
-        return data
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -522,11 +514,6 @@ def softmax(a, axis: int = -1) -> Tensor:
     e = exp(sub(a, Tensor(shift)))
     total = tsum(e, axis=axis, keepdims=True)
     return div(e, total)
-
-
-def log_softmax(a, axis: int = -1) -> Tensor:
-    a = _coerce(a)
-    return sub(a, logsumexp(a, axis=axis, keepdims=True))
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:

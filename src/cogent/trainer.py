@@ -431,6 +431,8 @@ def finetune(
     tc = settings.train
     meta = corpus.meta
     require_all_classes(corpus.train, meta)
+    if not corpus.val:
+        raise ConfigError("the val split is empty; fine-tuning selects on it")
     subset = sample_finetune_subset(corpus.train, settings.split)
     subset, norm_mean, norm_std = normalize(subset)
     val = apply_normalization(corpus.val, norm_mean, norm_std)
@@ -532,8 +534,6 @@ def _scores_from_logits(logits: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_params(params, patch_cfg, samples, batch_size) -> MetricReport:
-    if not samples:
-        raise ContractError("cannot evaluate an empty split")
     logits, labels, _ = _forward_logits(params, patch_cfg, samples, batch_size)
     scores = _scores_from_logits(logits)
     preds = np.argmax(logits, axis=1)
@@ -543,7 +543,7 @@ def _evaluate_params(params, patch_cfg, samples, batch_size) -> MetricReport:
 def evaluate(ckpt: Checkpoint, samples, batch_size: int = 64) -> MetricReport:
     """Metrics of a fine-tuned checkpoint on a raw (unnormalized) split."""
     if not samples:
-        raise ContractError("cannot evaluate an empty split")
+        raise ConfigError("cannot evaluate an empty split")
     params, patch_cfg = params_from_checkpoint(ckpt)
     normed = apply_normalization(
         samples,
@@ -562,7 +562,7 @@ def export_embeddings(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Classifier hidden-layer activations per sample, plus their silhouette."""
     if not samples:
-        raise ContractError("cannot export embeddings for an empty split")
+        raise ConfigError("cannot export embeddings for an empty split")
     params, patch_cfg = params_from_checkpoint(ckpt)
     normed = apply_normalization(
         samples,

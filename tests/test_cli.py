@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from cogent.cli import main
 from cogent.data import load_corpus
+from cogent.tensor import Tensor
 
 SMALL = [
     "--patch.L", "16",
@@ -15,6 +17,13 @@ SMALL = [
     "--train.epochs_finetune", "2",
     "--train.batch_size", "8",
 ]
+
+
+def copy_corpus(corpus_dir, dest):
+    dest.mkdir()
+    for f in corpus_dir.iterdir():
+        (dest / f.name).write_bytes(f.read_bytes())
+    return dest
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +58,15 @@ class TestGenSynthetic:
         corpus = load_corpus(corpus_dir)
         assert len(corpus.train) == 60
         assert corpus.meta.num_classes == 3
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--per-class", "0"), ("--sigma", "-0.5")]
+    )
+    def test_bad_generator_setting_exits_1(self, flag, value, tmp_path, capsys):
+        rc = main(["gen-synthetic", "--out", str(tmp_path / "c"), flag, value])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
 
 class TestPretrainCommand:
@@ -111,10 +129,7 @@ class TestPretrainCommand:
     def test_malformed_corpus_exits_1(
         self, corpus_dir, tmp_path, capsys, name, content
     ):
-        bad = tmp_path / "badcorpus"
-        bad.mkdir()
-        for f in corpus_dir.iterdir():
-            (bad / f.name).write_bytes(f.read_bytes())
+        bad = copy_corpus(corpus_dir, tmp_path / "badcorpus")
         (bad / name).write_bytes(content)
         rc = main(["pretrain", "--data", str(bad), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -249,6 +264,56 @@ class TestFinetuneEvaluateExport:
         assert "does not match the checkpoint" in capsys.readouterr().err
 
 
+class TestUnusableCorpus:
+    """Corpus contents a stage cannot use end in exit 1, not exit 2."""
+
+    @pytest.mark.parametrize(
+        "command, name, keep, message",
+        [
+            pytest.param(
+                "evaluate", "test.csv", lambda rows: [], "empty split",
+                id="evaluate-empty-test",
+            ),
+            pytest.param(
+                "export-embeddings", "test.csv", lambda rows: [], "empty split",
+                id="export-empty-test",
+            ),
+            pytest.param(
+                "finetune",
+                "train.csv",
+                lambda rows: [r for r in rows if not r.startswith("2,")],
+                "class 2 is absent from the train split",
+                id="finetune-train-lacks-class",
+            ),
+            pytest.param(
+                "finetune", "val.csv", lambda rows: [], "val split is empty",
+                id="finetune-empty-val",
+            ),
+            pytest.param(
+                "pretrain", "train.csv", lambda rows: rows[:1],
+                "train split has 1 row", id="pretrain-one-train-row",
+            ),
+        ],
+    )
+    def test_exits_1(
+        self, command, name, keep, message, corpus_dir, finetune_dir, tmp_path, capsys
+    ):
+        bad = copy_corpus(corpus_dir, tmp_path / "badcorpus")
+        rows = (bad / name).read_text().splitlines(keepends=True)
+        (bad / name).write_text("".join(keep(rows)))
+        out = str(tmp_path / "out")
+        ckpt = str(finetune_dir / "finetuned.ckpt")
+        args = {
+            "evaluate": ["--from", ckpt],
+            "export-embeddings": ["--from", ckpt, "--out", out],
+            "finetune": ["--out", out] + SMALL,
+            "pretrain": ["--out", out] + SMALL,
+        }[command]
+        rc = main([command, "--data", str(bad)] + args)
+        assert rc == 1
+        assert message in capsys.readouterr().err
+
+
 class TestAblateCommand:
     def test_three_row_table(self, corpus_dir, tmp_path):
         rc = main(
@@ -282,3 +347,30 @@ class TestDispatch:
         assert main(["selfcheck", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize(
+        "target, wrong, check",
+        [
+            (
+                "contrastive_loss",
+                lambda h, h_aug, tau, symmetric=False: Tensor(np.float32(0.5)),
+                "nt-xent closed forms and brute force",
+            ),
+            (
+                "auroc_binary",
+                lambda is_pos, scores: 0.25,
+                "metric oracles (f1/auroc/auprc)",
+            ),
+        ],
+        ids=["contrastive_loss", "auroc_binary"],
+    )
+    def test_selfcheck_reports_a_wrong_library(
+        self, target, wrong, check, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(f"cogent.selfcheck.{target}", wrong)
+        assert main(["selfcheck", "--fast"]) == 2
+        failed = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("[FAIL]")
+        ]
+        assert len(failed) == 1 and failed[0].startswith(f"[FAIL] {check}")

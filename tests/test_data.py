@@ -17,7 +17,7 @@ from cogent.data import (
     save_corpus,
     split_pretrain,
 )
-from cogent.errors import ConfigError, ContractError, ParseError
+from cogent.errors import ConfigError, ParseError
 
 
 def _samples(labels, T=4, D=1, fill=None, rng=None):
@@ -151,7 +151,7 @@ class TestSplitPretrain:
         assert ids_pre | ids_san == {id(s) for s in train}
 
     def test_too_small(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match="train split"):
             split_pretrain(_samples([0]), SplitPlan())
 
 

@@ -1,11 +1,14 @@
 """Pinned numerics: a tiny pretrain + fine-tune + evaluate must reproduce
-committed digests of its loss logs and test metrics.
+committed digests of its loss logs, test metrics and fine-tuned parameters.
 
-The digests cover what a run reports (the pretraining loss log, every
-fine-tuning step's loss, the test metrics), not parameter bytes, so a
-refactor that changes which tensors a checkpoint stores keeps them, while
-any drift in the numbers breaks them. Change an expected digest only with a
-stated reason for the numerics to move.
+Three digests cover what a run reports: the pretraining loss log, every
+fine-tuning step's loss and the test metrics. The tiny fine-tune stays at
+chance (losses near ln 3, test accuracy 1/3), so those three do not see what
+pretraining hands to the classifier. The fourth digest does: the sha256 of
+the fine-tuned checkpoint's parameter bytes, tensor by tensor in name order
+(each name, then its bytes). Any drift in the numbers breaks a digest.
+Change an expected digest only with a stated reason for the numerics to
+move.
 
 The digests are exact float bits. They were recorded with numpy 2.4.6 on
 its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on an x86_64 Xeon with AVX-512,
@@ -19,7 +22,8 @@ The pretraining-log digests of `cogent` and `contrastive_only` were
 re-recorded when affine products and the contrastive similarity matrix
 moved from float64 to float32 GEMMs (`tensor.matmul`): their loss values
 changed in the last bits. The fine-tuning and test-metric digests did not
-move in any mode.
+move in any mode. The parameter digests were recorded later, on the same
+host, from code that gives the same bits for the other three.
 """
 
 import hashlib
@@ -43,7 +47,8 @@ TINY = {
     "train.epochs_finetune": "2",
 }
 
-# loss overrides -> (pretrain log, fine-tune losses, test metrics) sha256
+# loss overrides -> (pretrain log, fine-tune losses, test metrics,
+# fine-tuned parameters) sha256
 PINNED = {
     "cogent": (
         {"loss.mode": "cogent"},
@@ -51,6 +56,7 @@ PINNED = {
             "b2354adc0c858732f1817f552c713f50f17567f647807b6693f92736341dffe1",
             "f6d86ece04ee127be20ca7b72d0e356bbf30ab16d53a6a04e0cd4cb479c0ff7a",
             "ff94f869c4853804cf05a5c0f4418f250b4108e766c544bf688620562cef9df2",
+            "667fd0a996a42bc5e4016b79350c689de031e8a4fb11b36c0a336fb90d2d2cd0",
         ),
     ),
     "generative_only-masked": (
@@ -59,6 +65,7 @@ PINNED = {
             "39b59a19ea8c0c31b86da4fd77c40e04a76d3c441275be0c0f3fff890aa478bd",
             "abcccca085cad27756d7c261a46128b95375ff221d80b6c22553b3a253e9ab85",
             "df2676142df20fbb968264fb9c5fe38559d27ea83f919f772d3770048d84fc11",
+            "dc8becee4fd1ece9412aeaa5adb7c86eb0785504dc958814803a663215149632",
         ),
     ),
     "contrastive_only": (
@@ -67,6 +74,7 @@ PINNED = {
             "d78bd46076ab20bed0933235051fefbf16d69572fefcc32e247f414642edc585",
             "e1b32f19d480cc9b9e9381bfa0d0d5e21072c275c91c872479d03e4fc8f5ff11",
             "ca02997743d322eda9822587d9b4f41a4da9f8e8d925f7e5b3e5fc31d03efe88",
+            "a8d9c8f0f1422308a57c9f164118bbae43b3b91780e671dd12c6756044bd39fc",
         ),
     ),
 }
@@ -75,6 +83,14 @@ PINNED = {
 def _sha(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _param_sha(ckpt) -> str:
+    h = hashlib.sha256()
+    for name in sorted(ckpt.params):
+        h.update(name.encode("utf-8"))
+        h.update(ckpt.params[name].tobytes())
+    return h.hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -105,5 +121,5 @@ def test_run_matches_pinned_digests(case, corpus, monkeypatch):
     monkeypatch.undo()
     metrics = trainer.evaluate(tuned, corpus.test).as_row()
 
-    got = (_sha(pre_log), _sha(losses), _sha(metrics))
+    got = (_sha(pre_log), _sha(losses), _sha(metrics), _param_sha(tuned))
     assert got == expected

@@ -13,7 +13,6 @@ from cogent.tensor import (
     gelu,
     l2_normalize,
     layer_norm,
-    log_softmax,
     logsumexp,
     matmul,
     relu,
@@ -383,7 +382,7 @@ class TestGraphMechanics:
             gelu(x),
             relu(x),
             l2_normalize(x),
-            log_softmax(x),
+            logsumexp(x, axis=-1),
         ):
             assert np.all(np.isfinite(out.data))
 

@@ -7,11 +7,12 @@ import pytest
 from cogent.augment import AugmentConfig
 from cogent.checkpoint import load_checkpoint, save_checkpoint
 from cogent.data import Corpus, DatasetMeta, SplitPlan, gen_synthetic
-from cogent.errors import ConfigError, ContractError
+from cogent.errors import ConfigError
 from cogent.losses import LossConfig
-from cogent.model import ModelConfig, classify, encode
+from cogent.model import ModelConfig, classify, encode, init_params
 from cogent.patchmask import PatchConfig
 from cogent.trainer import (
+    _loss_parts,
     RunSettings,
     TrainConfig,
     evaluate,
@@ -138,6 +139,32 @@ class TestPretrain:
         log_text = (tmp_path / "loss_log.csv").read_text()
         assert log_text.startswith("epoch,")
         assert len(log_text.strip().splitlines()) == 3  # header + 2 epochs
+
+
+class TestLossParts:
+    """The reconstruction term of a step, as `_loss_parts` combines it."""
+
+    @staticmethod
+    def parts(recon_views):
+        settings = make_settings(mode="generative_only", recon_views=recon_views)
+        params = init_params(
+            settings.model, settings.patch, settings.meta, loss=settings.loss
+        )
+        values = np.random.default_rng(0).normal(size=(4, 96, 1)).astype(np.float32)
+        rngs = tuple(np.random.default_rng(k) for k in (1, 2, 3))
+        return _loss_parts(values, params, settings, rngs)
+
+    def test_two_view_mean(self):
+        l_c, l_orig, l_aug, l_r = self.parts("both")
+        assert l_c is None
+        assert l_orig.item() != l_aug.item()
+        expect = 0.5 * (l_orig.item() + l_aug.item())
+        assert l_r.item() == pytest.approx(expect, rel=1e-6)
+
+    def test_orig_view_only_has_no_aug_term(self):
+        _, l_orig, l_aug, l_r = self.parts("orig")
+        assert l_aug is None
+        assert l_r is l_orig
 
 
 class TestFinetune:
@@ -267,7 +294,7 @@ class TestEvaluateAndExport:
     def test_empty_split_rejected(self, corpus, cogent_ckpt):
         ckpt, _ = cogent_ckpt
         tuned, _ = finetune(ckpt, corpus, make_settings(seed=0, epochs_finetune=2))
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             evaluate(tuned, [])
 
     def test_export_embeddings(self, corpus, cogent_ckpt, tmp_path):
