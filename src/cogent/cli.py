@@ -96,6 +96,14 @@ def _check_corpus_matches(ckpt, meta):
         )
 
 
+def _split_samples(corpus, data_dir, split: str):
+    samples = getattr(corpus, split)
+    if not samples:
+        path = Path(data_dir) / f"{split}.csv"
+        raise ConfigError(f"the {split} split ({path}) is empty")
+    return samples
+
+
 def _cmd_gen_synthetic(argv: list[str]) -> int:
     parser = _Parser(prog="cogent gen-synthetic")
     parser.add_argument("--out", required=True)
@@ -173,8 +181,7 @@ def _cmd_evaluate(argv: list[str]) -> int:
     corpus = load_corpus(args.data)
     ckpt = load_checkpoint(args.from_ckpt)
     _check_corpus_matches(ckpt, corpus.meta)
-    samples = getattr(corpus, args.split)
-    report = evaluate(ckpt, samples)
+    report = evaluate(ckpt, _split_samples(corpus, args.data, args.split))
     row = report.as_row()
     print(",".join(f"{k}={row[k]:.4f}" for k in row))
     if args.out is not None:
@@ -196,11 +203,12 @@ def _cmd_export_embeddings(argv: list[str]) -> int:
     corpus = load_corpus(args.data)
     ckpt = load_checkpoint(args.from_ckpt)
     _check_corpus_matches(ckpt, corpus.meta)
+    samples = _split_samples(corpus, args.data, args.split)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, _, score = export_embeddings(
         ckpt,
-        getattr(corpus, args.split),
+        samples,
         out_csv=out / "embeddings.csv",
         out_silhouette=out / "silhouette.txt",
     )

@@ -51,16 +51,19 @@ def _check(name: str, fn) -> CheckResult:
 
 
 def _matmul_oracle():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(3, 4)).astype(np.float32)
-    b = rng.normal(size=(4, 2)).astype(np.float32)
-    got = matmul(Tensor(a), Tensor(b)).data
-    expect = np.zeros((3, 2))
-    for i in range(3):
-        for j in range(2):
-            for k in range(4):
-                expect[i, j] += float(a[i, k]) * float(b[k, j])
-    assert np.allclose(got, expect, rtol=1e-5), "matmul disagrees with scalar loops"
+    for seed in (0, 7):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 4)).astype(np.float32)
+        b = rng.normal(size=(4, 2)).astype(np.float32)
+        got = matmul(Tensor(a), Tensor(b)).data
+        expect = np.zeros((3, 2))
+        for i in range(3):
+            for j in range(2):
+                for k in range(4):
+                    expect[i, j] += float(a[i, k]) * float(b[k, j])
+        assert np.allclose(got, expect.astype(np.float32), rtol=1e-6, atol=0.0), (
+            f"matmul disagrees with scalar loops (seed {seed})"
+        )
 
 
 def _softmax_oracle():

@@ -16,12 +16,21 @@ and gradient then runs in float64.
 
 Gradient accumulation is additive: callers must zero gradients between
 optimization steps.
+
+Passes that only read values (the pretraining sanity loss, validation,
+inference, the finite-difference loop) run inside `no_grad()`. Within that
+scope every op returns a plain leaf: no parents, no backward closure, so no
+graph is built or held. Values come from the same numpy calls in the same
+order, so they are bit-identical to a graph-building pass. The scope is off
+by default, costs one flag check per op when off, and restores the previous
+state on exit, on an exception and when nested.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
@@ -45,6 +54,7 @@ __all__ = [
     "l2_normalize",
     "logsumexp",
     "finite_diff_check",
+    "no_grad",
 ]
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -204,8 +214,25 @@ def _coerce(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float32))
 
 
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which ops build no graph; the previous state returns on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 def _result(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     out = Tensor(data)
+    if not _grad_enabled:
+        return out
     for p in parents:
         if p.requires_grad or p._parents:
             out._parents = tuple(parents)
@@ -558,7 +585,7 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3)
 
     `f` must return a scalar Tensor. Error per coordinate is
     |analytic - central| / (|central| + 1e-8); the max over coordinates is
-    returned.
+    returned. The central differences only read `f`, so they build no graph.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -573,14 +600,15 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3)
 
     flat = x.data.reshape(-1)
     numeric = np.zeros(flat.shape, dtype=np.float64)
-    for i in range(flat.size):
-        orig = flat[i]
-        bumped = x.data.copy().reshape(-1)
-        bumped[i] = orig + h
-        fp = f(Tensor(bumped.reshape(x.data.shape))).item()
-        bumped[i] = orig - h
-        fm = f(Tensor(bumped.reshape(x.data.shape))).item()
-        numeric[i] = (fp - fm) / (2.0 * h)
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            bumped = x.data.copy().reshape(-1)
+            bumped[i] = orig + h
+            fp = f(Tensor(bumped.reshape(x.data.shape))).item()
+            bumped[i] = orig - h
+            fm = f(Tensor(bumped.reshape(x.data.shape))).item()
+            numeric[i] = (fp - fm) / (2.0 * h)
 
     numeric = numeric.reshape(x.data.shape)
     err = np.abs(analytic.astype(np.float64) - numeric) / (np.abs(numeric) + 1e-8)

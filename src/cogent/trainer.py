@@ -51,7 +51,7 @@ from .model import (
 )
 from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, batch_patchify_mask
-from .tensor import Tensor, tsum
+from .tensor import Tensor, no_grad, tsum
 
 # rng stream tags (never reuse across purposes)
 _AUG, _MASK_ORIG, _MASK_AUG = 11, 12, 13
@@ -245,20 +245,21 @@ def _sanity_loss(
     bs = min(settings.train.batch_size, len(sanity))
     total = 0.0
     count = 0
-    for bi, (values, _) in enumerate(
-        make_batches(sanity, bs, seed=seed, epoch=0, drop_last=True, shuffle=False)
-    ):
-        rngs = (
-            _rng(seed, _SAN_AUG, bi),
-            _rng(seed, _SAN_MASK_ORIG, bi),
-            _rng(seed, _SAN_MASK_AUG, bi),
-        )
-        l_c, l_r_orig, l_r_aug, l_r = _loss_parts(values, params, settings, rngs)
-        loss, _ = joint_loss(
-            settings.loss, lambdas[0], lambdas[1], l_c, l_r_orig, l_r_aug, l_r
-        )
-        total += loss.item()
-        count += 1
+    with no_grad():
+        for bi, (values, _) in enumerate(
+            make_batches(sanity, bs, seed=seed, epoch=0, drop_last=True, shuffle=False)
+        ):
+            rngs = (
+                _rng(seed, _SAN_AUG, bi),
+                _rng(seed, _SAN_MASK_ORIG, bi),
+                _rng(seed, _SAN_MASK_AUG, bi),
+            )
+            l_c, l_r_orig, l_r_aug, l_r = _loss_parts(values, params, settings, rngs)
+            loss, _ = joint_loss(
+                settings.loss, lambdas[0], lambdas[1], l_c, l_r_orig, l_r_aug, l_r
+            )
+            total += loss.item()
+            count += 1
     return total / count if count else None
 
 
@@ -400,7 +401,7 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
     d_chan = int(cfg["data.D"])
     n_patches = t_len // L
     # inference only reads the parameters, so they share the checkpoint's
-    # arrays and build no backward graph
+    # arrays; its forward passes run under no_grad and build no graph
     tensors = {name: Tensor(arr) for name, arr in ckpt.params.items()}
     params = ModelParams(
         tensors=tensors,
@@ -509,18 +510,19 @@ def finetune(
 
 def _forward_logits(params, patch_cfg, samples, batch_size, return_hidden=False):
     logits_rows, hidden_rows, label_rows = [], [], []
-    for values, labels in make_batches(
-        samples, batch_size, drop_last=False, shuffle=False
-    ):
-        tokens, idx = _full_tokens(values, patch_cfg)
-        z = encode(tokens, idx, params)
-        if return_hidden:
-            logits, hidden = classify(z, params, return_hidden=True)
-            hidden_rows.append(hidden.data)
-        else:
-            logits = classify(z, params)
-        logits_rows.append(logits.data)
-        label_rows.append(labels)
+    with no_grad():
+        for values, labels in make_batches(
+            samples, batch_size, drop_last=False, shuffle=False
+        ):
+            tokens, idx = _full_tokens(values, patch_cfg)
+            z = encode(tokens, idx, params)
+            if return_hidden:
+                logits, hidden = classify(z, params, return_hidden=True)
+                hidden_rows.append(hidden.data)
+            else:
+                logits = classify(z, params)
+            logits_rows.append(logits.data)
+            label_rows.append(labels)
     logits = np.concatenate(logits_rows)
     labels = np.concatenate(label_rows)
     hidden = np.concatenate(hidden_rows) if return_hidden else None

@@ -1,7 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
-in a passing run. Criteria 2, 3, 7 and 9 run their oracle from the
+in a passing run. Criterion 1's line, which gives its elapsed seconds next to
+the 60 s bound, shows in every run, `-s` or not. Criteria 2, 3, 7 and 9 run their oracle from the
 `cogent.selfcheck` table (`cogent selfcheck` runs the same code), so each
 oracle exists once. The training-based criteria share module-scoped
 fixtures; every run here is deterministic, so the asserted margins are
@@ -39,13 +40,25 @@ ORACLES = dict(CHECKS)
 
 
 @contextmanager
-def criterion(number: int, name: str):
+def criterion(number: int, name: str, capsys=None):
+    """Print the criterion's PASS/FAIL line, with any notes the body adds.
+
+    Given pytest's `capsys`, the line bypasses output capture, so every
+    test log shows it, passing runs included.
+    """
+    notes: list[str] = []
+    status = "FAIL"
     try:
-        yield
-    except BaseException:
-        print(f"[acceptance] criterion {number} ({name}): FAIL")
-        raise
-    print(f"[acceptance] criterion {number} ({name}): PASS")
+        yield notes
+        status = "PASS"
+    finally:
+        line = f"[acceptance] criterion {number} ({name}): {status}"
+        line += "".join(f" ({note})" for note in notes)
+        if capsys is None:
+            print(line)
+        else:
+            with capsys.disabled():
+                print(f"\n{line}")
 
 
 def synth_meta():
@@ -94,11 +107,12 @@ def corpus(tmp_path_factory):
     )
 
 
-def test_criterion_1_gradient_integrity():
-    with criterion(1, "gradient integrity on the micro configuration"):
+def test_criterion_1_gradient_integrity(capsys):
+    with criterion(1, "gradient integrity on the micro configuration", capsys) as notes:
         start = time.time()
         errors = joint_loss_gradient_errors(seed=0, h=1e-3)
         elapsed = time.time() - start
+        notes.append(f"{elapsed:.1f} s of the 60 s bound")
         worst = max(errors.values())
         assert worst < 1e-3, f"worst per-tensor gradient error {worst}"
         assert len(errors) == 74  # every pretraining parameter tensor was checked

@@ -271,11 +271,13 @@ class TestUnusableCorpus:
         "command, name, keep, message",
         [
             pytest.param(
-                "evaluate", "test.csv", lambda rows: [], "empty split",
+                "evaluate", "test.csv", lambda rows: [],
+                "the test split ({bad}/test.csv) is empty",
                 id="evaluate-empty-test",
             ),
             pytest.param(
-                "export-embeddings", "test.csv", lambda rows: [], "empty split",
+                "export-embeddings", "test.csv", lambda rows: [],
+                "the test split ({bad}/test.csv) is empty",
                 id="export-empty-test",
             ),
             pytest.param(
@@ -311,7 +313,7 @@ class TestUnusableCorpus:
         }[command]
         rc = main([command, "--data", str(bad)] + args)
         assert rc == 1
-        assert message in capsys.readouterr().err
+        assert message.format(bad=bad) in capsys.readouterr().err
 
 
 class TestAblateCommand:

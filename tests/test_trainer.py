@@ -4,11 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cogent import trainer
 from cogent.augment import AugmentConfig
 from cogent.checkpoint import load_checkpoint, save_checkpoint
-from cogent.data import Corpus, DatasetMeta, SplitPlan, gen_synthetic
+from cogent.data import Corpus, DatasetMeta, SplitPlan, gen_synthetic, split_pretrain
 from cogent.errors import ConfigError
-from cogent.losses import LossConfig
+from cogent.losses import LossConfig, joint_loss
 from cogent.model import ModelConfig, classify, encode, init_params
 from cogent.patchmask import PatchConfig
 from cogent.trainer import (
@@ -165,6 +166,70 @@ class TestLossParts:
         _, l_orig, l_aug, l_r = self.parts("orig")
         assert l_aug is None
         assert l_r is l_orig
+
+
+def record_graphs(monkeypatch, scope: str, op: str) -> list[tuple[bool, bool]]:
+    """Wrap `trainer.<op>` to record (called inside `trainer.<scope>`, its
+    result has parents) per call."""
+    inside: list[bool] = []
+    seen: list[tuple[bool, bool]] = []
+    scope_fn, op_fn = getattr(trainer, scope), getattr(trainer, op)
+
+    def scoped(*args, **kwargs):
+        inside.append(True)
+        try:
+            return scope_fn(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def recorded(*args, **kwargs):
+        out = op_fn(*args, **kwargs)
+        tensor = out[0] if isinstance(out, tuple) else out
+        seen.append((bool(inside), tensor._parents != ()))
+        return out
+
+    monkeypatch.setattr(trainer, scope, scoped)
+    monkeypatch.setattr(trainer, op, recorded)
+    return seen
+
+
+class TestForwardOnlyPasses:
+    """The sanity pass and validation build no graph; training steps do."""
+
+    @staticmethod
+    def check(seen):
+        forward_only = [graph for inside, graph in seen if inside]
+        training = [graph for inside, graph in seen if not inside]
+        assert forward_only and not any(forward_only)
+        assert training and all(training)
+
+    def test_sanity_pass_builds_no_graph(self, corpus, monkeypatch):
+        seen = record_graphs(monkeypatch, "_sanity_loss", "joint_loss")
+        pretrain(corpus, make_settings(seed=0, epochs_pretrain=2))
+        self.check(seen)
+
+    def test_validation_builds_no_graph(self, corpus, monkeypatch):
+        seen = record_graphs(monkeypatch, "_forward_logits", "classify")
+        finetune(None, corpus, make_settings(seed=0, epochs_finetune=2))
+        self.check(seen)
+
+    def test_step_after_sanity_pass_gets_every_gradient(self, corpus):
+        settings = make_settings(seed=0)
+        pre, sanity = split_pretrain(corpus.train, settings.split)
+        params = init_params(
+            settings.model, settings.patch, settings.meta, loss=settings.loss
+        )
+        lambdas = (1.0, 1.0)
+        assert trainer._sanity_loss(sanity, params, settings, lambdas) is not None
+        values = np.stack([s.values for s in pre[:16]])
+        rngs = tuple(np.random.default_rng(k) for k in (1, 2, 3))
+        total, _ = joint_loss(
+            settings.loss, *lambdas, *_loss_parts(values, params, settings, rngs)
+        )
+        params.zero_grads()
+        total.backward()
+        missing = [name for name, t in params.items() if t.grad is None]
+        assert missing == []
 
 
 class TestFinetune:
