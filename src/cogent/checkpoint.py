@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -108,19 +109,54 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:8] == OLD_MAGIC:
-        raise ConfigError(
-            f"{path}: checkpoint in the older COGENT01 format; "
-            "re-create it with this version of cogent"
-        )
-    if raw[:8] != MAGIC:
-        raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-    mlen = int.from_bytes(raw[8:16], "little")
-    if len(raw) < 16 or 16 + mlen > len(raw):
-        raise ConfigError(f"{path}: truncated checkpoint (manifest cut short)")
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        if head[:8] == OLD_MAGIC:
+            raise ConfigError(
+                f"{path}: checkpoint in the older COGENT01 format; "
+                "re-create it with this version of cogent"
+            )
+        if head[:8] != MAGIC:
+            raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
+        mlen = int.from_bytes(head[8:16], "little")
+        if len(head) < 16 or 16 + mlen > size:
+            raise ConfigError(f"{path}: truncated checkpoint (manifest cut short)")
+        ckpt, entries, stored_digest = _parse_manifest(fh.read(mlen), path)
+        body_len = size - 16 - mlen
+        expected = 0
+        for name, shape, offset in entries:
+            if offset != expected or not all(
+                isinstance(n, int) and n >= 0 for n in shape
+            ):
+                raise ConfigError(
+                    f"{path}: invalid checkpoint manifest (entry {name!r})"
+                )
+            expected += math.prod(shape) * 4
+        if body_len != expected:
+            raise ConfigError(
+                f"{path}: payload is {body_len} bytes, the manifest's shapes "
+                f"need {expected} (truncated or corrupt file)"
+            )
+        if expect_digest is not None and stored_digest != expect_digest:
+            raise ConfigError(
+                f"{path}: checkpoint architecture digest {stored_digest[:12]}... "
+                f"does not match the current configuration ({expect_digest[:12]}...)"
+            )
+        # the payload is read once, into the buffer the arrays view
+        payload = np.empty(expected // 4, dtype="<f4")
+        if fh.readinto(payload) != expected:
+            raise ConfigError(f"{path}: payload changed while it was read")
+    for name, shape, offset in entries:
+        start = offset // 4
+        ckpt.params[name] = payload[start : start + math.prod(shape)].reshape(shape)
+    return ckpt
+
+
+def _parse_manifest(blob: bytes, path: Path):
+    """The checkpoint (no arrays yet), its (name, shape, offset) entries and digest."""
     try:
-        manifest = json.loads(raw[16 : 16 + mlen].decode("utf-8"))
+        manifest = json.loads(blob.decode("utf-8"))
         if not isinstance(manifest["config"], dict):
             raise TypeError("config is not a JSON object")
         entries = [
@@ -135,26 +171,6 @@ def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
             norm_mean=manifest["norm_mean"],
             norm_std=manifest["norm_std"],
         )
-        stored_digest = manifest["config_digest"]
+        return ckpt, entries, manifest["config_digest"]
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"{path}: invalid checkpoint manifest ({e!r})") from None
-    body = raw[16 + mlen :]
-    expected = 0
-    for name, shape, offset in entries:
-        if offset != expected or not all(isinstance(n, int) and n >= 0 for n in shape):
-            raise ConfigError(f"{path}: invalid checkpoint manifest (entry {name!r})")
-        expected += math.prod(shape) * 4
-    if len(body) != expected:
-        raise ConfigError(
-            f"{path}: payload is {len(body)} bytes, the manifest's shapes "
-            f"need {expected} (truncated or corrupt file)"
-        )
-    if expect_digest is not None and stored_digest != expect_digest:
-        raise ConfigError(
-            f"{path}: checkpoint architecture digest {stored_digest[:12]}... "
-            f"does not match the current configuration ({expect_digest[:12]}...)"
-        )
-    for name, shape, offset in entries:
-        arr = np.frombuffer(body, dtype="<f4", count=math.prod(shape), offset=offset)
-        ckpt.params[name] = arr.reshape(shape).copy()
-    return ckpt

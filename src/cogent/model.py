@@ -103,12 +103,19 @@ def sinusoid_table(n_pos: int, d_model: int, dtype=np.float32) -> np.ndarray:
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
-    """N(0, std^2) truncated at +-2 std via resampling."""
+    """N(0, std^2) truncated at +-2 std via resampling.
+
+    Each round redraws the out-of-range entries in ascending order and
+    re-tests only those, so it consumes the stream as a loop that re-tests
+    the whole array would.
+    """
     out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
+    flat = out.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        flat[bad] = redraw
+        bad = bad[np.abs(redraw) > 2.0 * std]
     return out.astype(dtype)
 
 

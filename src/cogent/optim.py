@@ -3,8 +3,12 @@
 Weight decay applies to affine weight matrices only (names ending ".w"),
 never to layer-norm gains/biases, bias vectors, or the cls/mask tokens.
 
-A step updates the parameter arrays and the moments in place, one
-cache-sized block of each tensor at a time. A caller that keeps parameter
+`AdamState.for_params` moves every parameter into one flat buffer per role
+(values, gradients, first and second moments), decayed tensors first. Each
+tensor's `.data` and `grad_slot`, and `state.m[name]`/`state.v[name]`, are
+views into those buffers, so a step is one sweep over one buffer, a
+cache-sized block at a time: one stretch with weight decay, one without.
+A step updates the parameter values in place. A caller that keeps parameter
 values across steps must copy them, as checkpoint snapshots do.
 """
 
@@ -29,16 +33,36 @@ class AdamConfig:
 
 @dataclass
 class AdamState:
+    # rows: parameter values, gradients, m, v; the first n_decayed columns
+    # hold the decayed tensors
+    buffer: np.ndarray
+    n_decayed: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        state = cls()
+        """Zero moments, with every parameter moved into the flat buffer."""
+        dtypes = {t.data.dtype for _, t in params.items()}
+        if len(dtypes) != 1:
+            kinds = sorted(map(str, dtypes))
+            raise ContractError(f"one flat buffer holds one dtype, not {kinds}")
+        offsets: dict[str, int] = {}
+        total = n_decayed = 0
+        for name, t in sorted(params.items(), key=lambda item: not decayed(item[0])):
+            offsets[name] = total
+            total += t.data.size
+            if decayed(name):
+                n_decayed = total
+        state = cls(np.zeros((4, total), dtypes.pop()), n_decayed)
         for name, t in params.items():
-            state.m[name] = np.zeros_like(t.data)
-            state.v[name] = np.zeros_like(t.data)
+            lo = offsets[name]
+            values, t.grad_slot, state.m[name], state.v[name] = (
+                row[lo : lo + t.data.size].reshape(t.shape) for row in state.buffer
+            )
+            values[...] = t.data
+            t.data = values
         return state
 
 
@@ -57,47 +81,56 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
 
     Every parameter must carry a finite gradient: a stage builds only the
     tensors it trains, so a missing one means the loss never reached it.
-    All gradients are checked before any parameter, moment or the step
-    counter changes, so a refused step leaves the state as it was.
+    A gradient assigned by hand rather than accumulated is copied into the
+    buffer first. All gradients are checked before any parameter, moment or
+    the step counter changes, so a refused step leaves the state as it was.
     """
     for name, tensor in params.items():
-        g = tensor.grad
-        if g is None:
+        if tensor.grad is None:
             raise ContractError(f"no gradient reached parameter {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise ContractError(f"non-finite gradient in parameter {name!r}")
+        if tensor.data.base is not state.buffer:
+            raise ContractError(
+                f"parameter {name!r} is not held by this optimizer state"
+            )
+        if tensor.grad is not tensor.grad_slot:
+            tensor.grad_slot[...] = tensor.grad
+    if not np.isfinite(state.buffer[1]).all():
+        for name, tensor in params.items():
+            if not np.isfinite(tensor.grad_slot).all():
+                raise ContractError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
     bc2 = 1.0 - cfg.beta2**t
-    for name, tensor in params.items():
-        decay = cfg.weight_decay > 0.0 and decayed(name)
-        # flat views, never copies: every block writes through to the
-        # stored parameter and moments
-        arrays = (tensor.data, tensor.grad, state.m[name], state.v[name])
-        flat = [x.reshape(-1, copy=False) for x in arrays]
-        size = tensor.data.size
-        scratch = np.empty((2, min(size, _BLOCK)), tensor.data.dtype)
-        for lo in range(0, size, _BLOCK):
-            data, g, m, v = (x[lo : lo + _BLOCK] for x in flat)
-            buf, den = scratch[:, : data.size]
-            np.multiply(g, 1.0 - cfg.beta1, out=buf)
-            m *= cfg.beta1
-            m += buf
-            np.multiply(g, g, out=buf)
-            buf *= 1.0 - cfg.beta2
-            v *= cfg.beta2
-            v += buf
-            # update = lr * m_hat / (sqrt(v_hat) + eps) [+ (lr * wd) * data],
-            # in exactly this operation order: it fixes the rounding of
-            # every parameter bit
-            np.divide(m, bc1, out=buf)
-            buf *= cfg.lr
-            np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += cfg.eps
-            buf /= den
-            if decay:
-                np.multiply(data, cfg.lr * cfg.weight_decay, out=den)
-                buf += den
-            data -= buf
+    split = state.n_decayed if cfg.weight_decay > 0.0 else 0
+    _sweep(state.buffer[:, :split], cfg, bc1, bc2, decay=True)
+    _sweep(state.buffer[:, split:], cfg, bc1, bc2, decay=False)
+
+
+def _sweep(buffer: np.ndarray, cfg: AdamConfig, bc1: float, bc2: float, decay: bool):
+    """Update the values and moments of `buffer`'s columns in place."""
+    size = buffer.shape[1]
+    scratch = np.empty((2, min(size, _BLOCK)), buffer.dtype)
+    for lo in range(0, size, _BLOCK):
+        data, g, m, v = buffer[:, lo : lo + _BLOCK]
+        buf, den = scratch[:, : data.size]
+        np.multiply(g, 1.0 - cfg.beta1, out=buf)
+        m *= cfg.beta1
+        m += buf
+        np.multiply(g, g, out=buf)
+        buf *= 1.0 - cfg.beta2
+        v *= cfg.beta2
+        v += buf
+        # update = lr * m_hat / (sqrt(v_hat) + eps) [+ (lr * wd) * data],
+        # in exactly this operation order: it fixes the rounding of every
+        # parameter bit
+        np.divide(m, bc1, out=buf)
+        buf *= cfg.lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += cfg.eps
+        buf /= den
+        if decay:
+            np.multiply(data, cfg.lr * cfg.weight_decay, out=den)
+            buf += den
+        data -= buf

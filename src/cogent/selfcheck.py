@@ -1,11 +1,11 @@
 """Built-in verification suite behind the `selfcheck` subcommand.
 
 Each check re-derives an expected value through an independent route (scalar
-loops, closed forms, hand arithmetic, finite differences) and compares the
-library against it. This module is the only home of these oracles: the test
-suite runs every entry of CHECKS, and `cogent selfcheck` runs the same
-table. The slow checks (full-model gradient check, a short convergence run)
-can be skipped with fast=True.
+loops, closed forms, hand arithmetic, finite differences, graphs of primitive
+ops) and compares the library against it. This module is the only home of
+these oracles: the test suite runs every entry of CHECKS, and `cogent
+selfcheck` runs the same table. The slow checks (full-model gradient check, a
+short convergence run) can be skipped with fast=True.
 """
 
 from __future__ import annotations
@@ -29,7 +29,22 @@ from .metrics import auprc_binary, auroc_binary, macro_prf, silhouette_score
 from .model import ModelConfig, encode, init_params
 from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, sample_mask
-from .tensor import Tensor, finite_diff_check, gelu, layer_norm, matmul, softmax, tsum
+from .tensor import (
+    Tensor,
+    exp,
+    finite_diff_check,
+    gelu,
+    l2_normalize,
+    layer_norm,
+    log,
+    logsumexp,
+    matmul,
+    reshape,
+    softmax,
+    sqrt,
+    tmean,
+    tsum,
+)
 from .trainer import RunSettings, TrainConfig, pretrain
 
 
@@ -85,6 +100,73 @@ def _gelu_oracle():
     got = gelu(Tensor(np.array(1.0, np.float32))).item()
     expect = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
     assert abs(got - expect) < 1e-6, f"gelu(1) = {got}, expected {expect}"
+
+
+# The primitive graphs that the fused ops in `tensor` replace. Each fused op
+# must give these values and gradients bit for bit.
+
+
+def _primitive_softmax(a: Tensor, axis: int) -> Tensor:
+    e = exp(a - Tensor(np.max(a.data, axis=axis, keepdims=True)))
+    return e / tsum(e, axis=axis, keepdims=True)
+
+
+def _primitive_logsumexp(a: Tensor, axis: int, keepdims: bool) -> Tensor:
+    shift = np.max(a.data, axis=axis, keepdims=True)
+    e = exp(a - Tensor(shift))
+    out = log(tsum(e, axis=axis, keepdims=True)) + Tensor(shift)
+    if not keepdims:
+        out = reshape(out, np.squeeze(out.data, axis=axis).shape)
+    return out
+
+
+def _primitive_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    mu = tmean(x, axis=-1, keepdims=True)
+    centered = x - mu
+    var = tmean(centered * centered, axis=-1, keepdims=True)
+    inv = Tensor(np.asarray(1.0, dtype=x.dtype)) / sqrt(var + 1e-5)
+    return centered * inv * gamma + beta
+
+
+def _primitive_l2_normalize(x: Tensor, axis: int) -> Tensor:
+    return x / sqrt(tsum(x * x, axis=axis, keepdims=True) + 1e-12)
+
+
+def _fusion_oracle():
+    # Each op's input also feeds a residual add and a later product, so its
+    # gradient sums pieces from three consumers in graph-walk order.
+    cases = (
+        (layer_norm, _primitive_layer_norm, {}),
+        (softmax, _primitive_softmax, {"axis": -1}),
+        (softmax, _primitive_softmax, {"axis": 1}),
+        (logsumexp, _primitive_logsumexp, {"axis": -1, "keepdims": True}),
+        (logsumexp, _primitive_logsumexp, {"axis": 0, "keepdims": False}),
+        (l2_normalize, _primitive_l2_normalize, {"axis": -1}),
+        (l2_normalize, _primitive_l2_normalize, {"axis": 0}),
+    )
+    labels = ("values", "x gradient", "gamma gradient", "beta gradient")
+    for dtype in (np.float32, np.float64):
+        rng = np.random.default_rng(12)
+        x, w, w2 = (rng.normal(size=(3, 4, 6)).astype(dtype) for _ in range(3))
+        gamma = (1.0 + 0.2 * rng.normal(size=6)).astype(dtype)
+        beta = rng.normal(size=6).astype(dtype)
+        for fused_op, primitive_op, kwargs in cases:
+            arrays = (x, gamma, beta) if fused_op is layer_norm else (x,)
+            results = []
+            for op in (fused_op, primitive_op):
+                leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+                out = op(*leaves, **kwargs)
+                residual = tsum((leaves[0] + out) * Tensor(w))
+                (residual + tsum(leaves[0] * Tensor(w2))).backward()
+                results.append([out.data] + [t.grad for t in leaves])
+            case = f"{fused_op.__name__}{kwargs} ({np.dtype(dtype).name})"
+            for label, fused, primitive in zip(labels, *results):
+                assert (
+                    fused is not None
+                    and primitive is not None
+                    and fused.dtype == primitive.dtype
+                    and np.array_equal(fused, primitive)
+                ), f"fused {case}: {label} differs"
 
 
 def _quadratic_gradcheck():
@@ -383,6 +465,7 @@ CHECKS = (
     ("softmax closed forms", _softmax_oracle),
     ("layer_norm two-point row", _layer_norm_oracle),
     ("gelu gaussian cdf at 1", _gelu_oracle),
+    ("fused ops equal their primitive compositions", _fusion_oracle),
     ("finite-difference quadratic", _quadratic_gradcheck),
     ("nt-xent closed forms and brute force", _ntxent_oracles),
     ("reconstruction hand arithmetic", _recon_oracle),

@@ -14,8 +14,15 @@ A float64 storage mode (pass float64 data in) is available for verification
 harnesses that need finite differences below float32 noise; every product
 and gradient then runs in float64.
 
+`layer_norm`, `softmax`, `logsumexp` and `l2_normalize` are each a single
+graph node. Their forward pass and backward closure replay the numpy
+arithmetic of the primitive graph they replace (add/sub/mul/div,
+tsum/tmean, exp/log/sqrt) in its order, so values and gradients are
+bit-identical to it; `selfcheck` holds those graphs and checks this.
+
 Gradient accumulation is additive: callers must zero gradients between
-optimization steps.
+optimization steps. The first gradient of a pass is written as 0 + g, into
+the tensor's `grad_slot` when the optimizer has set one.
 
 Passes that only read values (the pretraining sanity loss, validation,
 inference, the finite-difference loop) run inside `no_grad()`. Within that
@@ -73,14 +80,21 @@ def _as_array(x, dtype=np.float32):
 
 
 class Tensor:
-    """A dense array node in a reverse-mode differentiation graph."""
+    """A dense array node in a reverse-mode differentiation graph.
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
+    `grad_slot`, when set (the optimizer sets it), is a preallocated array of
+    the data's shape that the first gradient of each pass is written into.
+    """
+
+    __slots__ = (
+        "data", "requires_grad", "grad", "grad_slot", "_parents", "_backward"
+    )
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
+        self.grad_slot: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable[[np.ndarray], None] | None = None
 
@@ -118,8 +132,14 @@ class Tensor:
     def _accumulate(self, g: np.ndarray) -> None:
         g = g.astype(self.data.dtype, copy=False)
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # one pass; 0 + g turns a -0.0 into +0.0, as a zero-filled
+            # buffer would
+            out = self.grad_slot
+            if out is None:
+                out = np.empty_like(self.data)
+            self.grad = np.add(g, 0, out=out)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Reverse-mode sweep seeding d(self)/d(self) = 1 (self must be scalar)."""
@@ -529,7 +549,17 @@ def sqrt(a) -> Tensor:
     return _result(data, (a,), backward)
 
 
-# -- composite ops -------------------------------------------------------------
+# -- fused ops (one node each; see the module docstring) -----------------------
+#
+# Where pieces of gradient meet in an intermediate array, they are summed in
+# the order the primitive graph's walk would deliver them. The pieces for an
+# input are handed back separately, so `Tensor.backward` sums them with the
+# input's other gradients in that order too.
+
+
+def _sum_kept(a: np.ndarray, axis) -> np.ndarray:
+    """`tsum(a, axis, keepdims=True)`'s values."""
+    return a.sum(axis=axis, keepdims=True, dtype=np.float64).astype(a.dtype)
 
 
 def softmax(a, axis: int = -1) -> Tensor:
@@ -537,22 +567,33 @@ def softmax(a, axis: int = -1) -> Tensor:
     a = _coerce(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = exp(sub(a, Tensor(shift)))
-    total = tsum(e, axis=axis, keepdims=True)
-    return div(e, total)
+    e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
+    total = _sum_kept(e, axis)
+    data = e / total
+
+    def backward(g):
+        g_total = _unbroadcast(-g * e / (total * total), total.shape)
+        g_e = g / total + np.broadcast_to(g_total, e.shape)
+        return ((a, g_e * e),)
+
+    return _result(data, (a,), backward)
 
 
 def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Stable log-sum-exp; the max shift is treated as a constant."""
     a = _coerce(a)
     shift = np.max(a.data, axis=axis, keepdims=True)
-    e = exp(sub(a, Tensor(shift)))
-    s = log(tsum(e, axis=axis, keepdims=True))
-    out = add(s, Tensor(shift))
+    e = np.exp(a.data - shift)
+    total = _sum_kept(e, axis)
+    data = np.log(total) + shift
     if not keepdims:
-        out = reshape(out, np.squeeze(out.data, axis=axis).shape)
-    return out
+        data = np.squeeze(data, axis=axis)
+
+    def backward(g):
+        g_total = g.reshape(total.shape) / total
+        return ((a, np.broadcast_to(g_total, e.shape) * e),)
+
+    return _result(data, (a,), backward)
 
 
 def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
@@ -563,18 +604,50 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
             f"layer_norm affine params {gamma.shape}/{beta.shape} do not match "
             f"last dimension of {x.shape}"
         )
-    mu = tmean(x, axis=-1, keepdims=True)
-    centered = sub(x, mu)
-    var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    inv = div(Tensor(np.asarray(1.0, dtype=x.data.dtype)), sqrt(add(var, eps)))
-    return add(mul(mul(centered, inv), gamma), beta)
+    n = x.shape[-1]
+    mu = x.data.mean(axis=-1, keepdims=True, dtype=np.float64).astype(x.dtype)
+    c = x.data - mu
+    var = (c * c).mean(axis=-1, keepdims=True, dtype=np.float64).astype(c.dtype)
+    # eps is a float32 constant, as `add` coerces it in the primitive graph
+    sd = np.sqrt(var + np.float32(eps))
+    inv = 1.0 / sd
+    ci = c * inv
+    data = ci * gamma.data + beta.data
+
+    def backward(g):
+        g_ci = g * gamma.data
+        g_inv = _unbroadcast(g_ci * c, inv.shape)
+        g_var = -g_inv / (sd * sd) * (0.5 / sd)
+        g_sq = np.broadcast_to(g_var / n, c.shape) * c
+        # the centred input's three pieces: through the scaling, then
+        # through each factor of c * c
+        g_c = g_ci * inv
+        g_c += g_sq
+        g_c += g_sq
+        g_mu = _unbroadcast(-g_c, mu.shape) / n
+        return (
+            (x, g_c),
+            (x, np.broadcast_to(g_mu, x.shape)),
+            (gamma, _unbroadcast(g * ci, gamma.shape)),
+            (beta, _unbroadcast(g, beta.shape)),
+        )
+
+    return _result(data, (x, gamma, beta), backward)
 
 
 def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
     """Scale rows along `axis` to unit Euclidean norm."""
     x = _coerce(x)
-    sq = tsum(mul(x, x), axis=axis, keepdims=True)
-    return div(x, sqrt(add(sq, eps)))
+    norm = np.sqrt(_sum_kept(x.data * x.data, axis) + np.float32(eps))
+    data = x.data / norm
+
+    def backward(g):
+        g_norm = _unbroadcast(-g * x.data / (norm * norm), norm.shape)
+        g_sq = np.broadcast_to(g_norm * (0.5 / norm), x.shape) * x.data
+        # x's pieces: through the division, then once per factor of x * x
+        return ((x, g / norm), (x, g_sq), (x, g_sq))
+
+    return _result(data, (x,), backward)
 
 
 # -- finite-difference oracle --------------------------------------------------

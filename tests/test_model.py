@@ -6,6 +6,7 @@ from cogent.errors import ConfigError, ContractError
 from cogent.losses import LossConfig, patch_reconstruction_term
 from cogent.model import (
     ModelConfig,
+    _trunc_normal,
     classifier_hidden_width,
     classify,
     decode,
@@ -44,7 +45,30 @@ LAYOUTS = (
 )
 
 
+def whole_array_trunc_normal(rng, shape, std, dtype):
+    """Redraw loop that re-tests every entry each round; also returns rounds."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    rounds = 0
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+        rounds += 1
+    return out.astype(dtype), rounds
+
+
 class TestInitParams:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_truncated_normal_matches_whole_array_redraw(self, dtype):
+        # seed 0 at this size needs four redraw rounds
+        shape = (300, 200)
+        ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
+        expect, rounds = whole_array_trunc_normal(ref_rng, shape, 0.02, dtype)
+        assert rounds >= 3
+        got = _trunc_normal(rng, shape, 0.02, dtype)
+        assert got.dtype == dtype and np.array_equal(got, expect)
+        assert rng.normal() == ref_rng.normal()  # same draws consumed
+
     def test_same_seed_bit_identical(self):
         _, _, _, a = micro_setup(init_seed=5)
         _, _, _, b = micro_setup(init_seed=5)

@@ -9,7 +9,7 @@ from cogent.errors import ContractError
 from cogent.model import ModelConfig, init_params
 from cogent.optim import AdamConfig, AdamState, adam_step, decayed
 from cogent.patchmask import PatchConfig
-from cogent.tensor import Tensor
+from cogent.tensor import Tensor, tsum
 
 
 def tiny_params():
@@ -192,3 +192,78 @@ class TestInPlaceUpdate:
         assert not np.array_equal(live, before["patch_proj.b"])
         for name, arr in kept.items():
             assert np.array_equal(arr, before[name]), name
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_block_spanning_a_tensor_boundary_bit_identical(self, weight_decay):
+        # decayed tensors come first: the first update block holds all of
+        # "a.w" and the first 100 elements of "b.w"
+        rng = np.random.default_rng(9)
+        shapes = {"c.b": (50,), "a.w": (optim._BLOCK - 100,), "b.w": (3, 100)}
+        tensors = {
+            name: Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+            for name, shape in shapes.items()
+        }
+        params = dataclasses.replace(tiny_params(), tensors=tensors)
+        state = AdamState.for_params(params)
+        assert state.n_decayed == optim._BLOCK + 200
+        assert np.shares_memory(tensors["b.w"].data, state.buffer[0, : optim._BLOCK])
+        assert np.shares_memory(tensors["b.w"].data, state.buffer[0, optim._BLOCK :])
+        check_against_reference(params, weight_decay, np.float32)
+
+    def test_hand_assigned_gradient_steps_like_an_accumulated_one(self):
+        initial = tiny_params().state_arrays()
+        rng = np.random.default_rng(3)
+        grads = {
+            name: rng.normal(size=a.shape).astype(np.float32)
+            for name, a in initial.items()
+        }
+        stepped = []
+        for by_hand in (True, False):
+            params = tiny_params()
+            state = AdamState.for_params(params)
+            for name, t in params.items():
+                if by_hand:
+                    t.grad = grads[name].copy()
+                else:
+                    tsum(t * Tensor(grads[name])).backward()
+                    assert t.grad is t.grad_slot
+            adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.5))
+            stepped.append((params.state_arrays(), state))
+        (hand, hand_state), (acc, acc_state) = stepped
+        for name in grads:
+            assert not np.array_equal(hand[name], initial[name]), name
+            assert np.array_equal(hand[name], acc[name]), name
+            assert np.array_equal(hand_state.m[name], acc_state.m[name]), name
+            assert np.array_equal(hand_state.v[name], acc_state.v[name]), name
+
+    def test_views_stay_live_across_a_step(self):
+        params = tiny_params()
+        state = AdamState.for_params(params)
+        m, v = dict(state.m), dict(state.v)
+        data = {name: t.data for name, t in params.items()}
+        rng = np.random.default_rng(5)
+        for _, t in params.items():
+            t.grad = rng.normal(size=t.shape).astype(np.float32)
+        adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.5))
+        for name, t in params.items():
+            assert t.data is data[name] and t.data.base is state.buffer, name
+            assert state.m[name] is m[name] and m[name].base is state.buffer, name
+            assert state.v[name] is v[name] and v[name].base is state.buffer, name
+            assert m[name].all() and v[name].all(), name  # moved by the step
+
+    def test_parameter_rebound_after_for_params_refused(self):
+        params = tiny_params()
+        state = AdamState.for_params(params)
+        fill_zero_grads(params)
+        params.tensors["enc.0.ln1.g"].data = params["enc.0.ln1.g"].data.copy()
+        with pytest.raises(ContractError, match="enc.0.ln1.g"):
+            adam_step(params, state, AdamConfig())
+        assert state.step == 0
+
+    def test_mixed_dtypes_refused(self):
+        params = tiny_params()
+        params.tensors["cls_token"].data = params["cls_token"].data.astype(np.float64)
+        with pytest.raises(ContractError, match="one dtype"):
+            AdamState.for_params(params)

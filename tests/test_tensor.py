@@ -321,6 +321,17 @@ class TestGraphMechanics:
         tsum(x * x).backward()
         np.testing.assert_allclose(x.grad, [4.0])
 
+    @pytest.mark.parametrize("slot", [False, True])
+    def test_first_gradient_is_zero_plus_g(self, slot):
+        # a -0.0 gradient lands as +0.0, with or without a preallocated slot
+        x = Tensor(np.ones(3, np.float32), requires_grad=True)
+        if slot:
+            x.grad_slot = np.full(3, np.nan, np.float32)
+        tsum(x * Tensor(np.array([-0.0, 2.0, -3.0], np.float32))).backward()
+        assert x.grad.tolist() == [0.0, 2.0, -3.0]
+        assert not np.signbit(x.grad[0])
+        assert (x.grad is x.grad_slot) == slot
+
     def test_diamond_graph(self):
         x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
         y = x * x
