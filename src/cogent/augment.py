@@ -70,7 +70,15 @@ def make_view(
 def make_views_batch(
     values: np.ndarray, cfg: AugmentConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Augment a [B,T,D] batch sample-by-sample with one rng stream."""
+    """Augment a [B,T,D] batch with one rng stream, sample by sample.
+
+    Jitter draws the whole batch's noise at once: one [B,T,D] draw takes the
+    same normals off the stream, in the same order, as B per-sample draws,
+    so the views carry the same bits. Time masks stay per sample, since one
+    batched `rng.choice` would consume the stream differently.
+    """
+    if cfg.kind == "jitter":
+        return jitter(values, cfg.epsilon, rng)
     return np.stack(
         [
             make_view(TimeSeriesSample(values=v, label=0), cfg, rng).values

@@ -13,14 +13,19 @@ from __future__ import annotations
 import numpy as np
 
 from .data import DatasetMeta
-from .losses import LossConfig, contrastive_loss, patch_reconstruction_term
-from .model import ModelConfig, decode, encode, init_params, project_head
+from .losses import LossConfig
+from .model import ModelConfig, init_params
 from .patchmask import PatchConfig, sample_mask
 from .tensor import Tensor, finite_diff_check
+from .trainer import _stacked_terms
+
+# unit weights, both views reconstructed, the visible target
+_MICRO_LOSS = LossConfig(mode="cogent", tau=0.2)
 
 
 def build_micro_instance(seed: int = 0, dtype=np.float64):
-    """Deterministic micro model plus one fixed two-sample batch.
+    """Deterministic micro model plus one fixed two-sample batch, as two
+    tokenized views (original, jittered) in `trainer._stacked_terms` form.
 
     Parameters are redrawn at generic scales (weights sigma 0.25, norm gains
     near 1) instead of the training init: at the 0.02-std init the relu
@@ -51,7 +56,7 @@ def build_micro_instance(seed: int = 0, dtype=np.float64):
             t.data = (0.25 * redraw.standard_normal(t.shape)).astype(dtype)
     rng = np.random.default_rng(seed + 100)
     values = rng.normal(size=(2, 16, 1))
-    views = values + 0.1 * rng.standard_normal((2, 16, 1))
+    augmented = values + 0.1 * rng.standard_normal((2, 16, 1))
     n = patch_cfg.n_patches(meta.T)
 
     def tokenize(batch, mask_rng):
@@ -60,23 +65,18 @@ def build_micro_instance(seed: int = 0, dtype=np.float64):
         v = patch_cfg.n_visible(meta.T)
         idx = np.nonzero(masks)[1].reshape(2, v).astype(np.int64)
         tokens = np.take_along_axis(patches, idx[:, :, None], axis=1)
-        return tokens.astype(dtype), idx
+        return tokens.astype(dtype), idx, masks, None
 
-    tokens_o, idx_o = tokenize(values, np.random.default_rng(seed + 200))
-    tokens_a, idx_a = tokenize(views, np.random.default_rng(seed + 300))
-    return params, (tokens_o, idx_o, tokens_a, idx_a)
+    return params, [
+        tokenize(values, np.random.default_rng(seed + 200)),
+        tokenize(augmented, np.random.default_rng(seed + 300)),
+    ]
 
 
-def micro_joint_loss(params, batch) -> Tensor:
-    """Contrastive + both-view reconstruction with unit weights."""
-    tokens_o, idx_o, tokens_a, idx_a = batch
-    z_o = encode(tokens_o, idx_o, params)
-    z_a = encode(tokens_a, idx_a, params)
-    l_c = contrastive_loss(
-        project_head(z_o, params), project_head(z_a, params), tau=0.2
-    )
-    l_r_orig = patch_reconstruction_term(decode(z_o, idx_o, params), Tensor(tokens_o))
-    l_r_aug = patch_reconstruction_term(decode(z_a, idx_a, params), Tensor(tokens_a))
+def micro_joint_loss(params, views) -> Tensor:
+    """Contrastive + both-view reconstruction with unit weights, on the
+    stacked views, through the helper that pretraining runs."""
+    l_c, (l_r_orig, l_r_aug) = _stacked_terms(views, params, _MICRO_LOSS)
     return l_c + (l_r_orig + l_r_aug) * 0.5
 
 
@@ -84,7 +84,7 @@ def joint_loss_gradient_errors(
     seed: int = 0, h: float = 1e-3
 ) -> dict[str, float]:
     """Max finite-difference relative error per parameter tensor."""
-    params, batch = build_micro_instance(seed=seed)
+    params, views = build_micro_instance(seed=seed)
     errors: dict[str, float] = {}
     for name in list(params.tensors):
         original = params.tensors[name]
@@ -92,7 +92,7 @@ def joint_loss_gradient_errors(
         def f(probe: Tensor) -> Tensor:
             params.tensors[name] = probe
             try:
-                return micro_joint_loss(params, batch)
+                return micro_joint_loss(params, views)
             finally:
                 params.tensors[name] = original
 

@@ -309,8 +309,7 @@ def decode(
         v = tokens - 1
         dtype = z.data.dtype
         scatter = np.zeros((b, n, v), dtype=dtype)
-        for i in range(b):
-            scatter[i, token_idx[i], np.arange(v)] = 1.0
+        scatter[np.arange(b)[:, None], token_idx, np.arange(v)] = 1.0
         placed = matmul(Tensor(scatter), z[:, 1:, :])
         hole = Tensor((1.0 - masks[:, :, None]).astype(dtype))
         fill = hole * reshape(params["mask_token"], (1, 1, dm))

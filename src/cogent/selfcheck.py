@@ -17,18 +17,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from .augment import AugmentConfig, jitter, time_mask
-from .data import DatasetMeta, SplitPlan, gen_synthetic
+from . import losses
+from .augment import AugmentConfig, jitter, make_view, time_mask
+from .data import DatasetMeta, SplitPlan, TimeSeriesSample, gen_synthetic
 from .losses import (
     LossConfig,
     balance_lambdas,
     contrastive_loss,
+    joint_loss,
     patch_reconstruction_term,
 )
 from .metrics import auprc_binary, auroc_binary, macro_prf, silhouette_score
-from .model import ModelConfig, encode, init_params
+from .model import ModelConfig, decode, encode, init_params, project_head
 from .optim import AdamConfig, AdamState, adam_step
-from .patchmask import PatchConfig, sample_mask
+from .patchmask import PatchConfig, batch_patchify_mask, sample_mask
 from .tensor import (
     Tensor,
     exp,
@@ -45,7 +47,14 @@ from .tensor import (
     tmean,
     tsum,
 )
-from .trainer import RunSettings, TrainConfig, pretrain
+from .trainer import (
+    RunSettings,
+    TrainConfig,
+    _full_tokens,
+    _loss_parts,
+    _masked_recon_term,
+    pretrain,
+)
 
 
 @dataclass
@@ -409,6 +418,137 @@ def _permutation_oracle():
         )
 
 
+def _per_view_loss_parts(values, params, settings: RunSettings, rngs):
+    """`trainer._loss_parts` as two graphs: each view is augmented sample by
+    sample, then encoded, projected and decoded on its own."""
+    cfg = settings.loss
+    rng_aug, rng_mask_o, rng_mask_a = rngs
+
+    def forward(batch, rng_mask):
+        tokens, idx, masks = batch_patchify_mask(
+            batch, settings.patch, rng_mask, settings.keep_zeroed
+        )
+        return batch, tokens, idx, masks, encode(tokens, idx, params)
+
+    def reconstruction(batch, tokens, idx, masks, z):
+        n = masks.shape[1]
+        v = settings.patch.n_visible(batch.shape[1])
+        if cfg.reconstruct_target == "masked":
+            full, _ = _full_tokens(batch, settings.patch)
+            p_hat = decode(z, idx, params, masks=masks)
+            return _masked_recon_term(p_hat, full, 1 - masks, n - v)
+        p_hat = decode(z, idx, params)
+        if settings.keep_zeroed:
+            return _masked_recon_term(p_hat, tokens, masks, v)
+        return patch_reconstruction_term(p_hat, Tensor(tokens))
+
+    orig = forward(values, rng_mask_o)
+    aug = None
+    if cfg.needs_aug_view:
+        augmented = np.stack(
+            [
+                make_view(TimeSeriesSample(v, 0), settings.augment, rng_aug).values
+                for v in values
+            ]
+        )
+        aug = forward(augmented, rng_mask_a)
+    l_c = l_r_orig = l_r_aug = l_r = None
+    if cfg.needs_contrastive:
+        # the library's loss, looked up as `_loss_parts` looks it up: this
+        # check compares the two compositions, the nt-xent check the loss
+        l_c = losses.contrastive_loss(
+            project_head(orig[4], params),
+            project_head(aug[4], params),
+            cfg.tau,
+            symmetric=cfg.symmetric_ntxent,
+        )
+    if cfg.needs_reconstruction:
+        l_r_orig = l_r = reconstruction(*orig)
+        if cfg.needs_aug_reconstruction:
+            l_r_aug = reconstruction(*aug)
+            l_r = (l_r_orig + l_r_aug) * 0.5
+    return l_c, l_r_orig, l_r_aug, l_r
+
+
+def _stacked_views_oracle():
+    """The stacked pass gives the per-view loss values bit for bit.
+
+    Its gradients sum both views' rows in one reduction instead of adding
+    two, so they agree to rtol 1e-5 of each tensor's largest entry, not in
+    every bit. `attn.wk.b`, whose exact gradient is zero, holds noise below
+    1e-6 of the largest gradient in both passes.
+
+    The loss values are compared as exact float bits, which relies on the
+    BLAS giving each GEMM row the same bits whatever the row count. This
+    held with numpy 2.4.6 on its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on
+    an x86_64 Xeon with AVX-512, with 1 and 2 BLAS threads. OpenBLAS picks
+    its kernels for the CPU it runs on, so another CPU or BLAS build may
+    sum in another order; a mismatch there is a reason to look at the host,
+    not by itself a regression.
+    """
+    meta = DatasetMeta(T=32, D=1, num_classes=3, name="tiny")
+    patch = PatchConfig(L=8, theta=0.5)
+    cases = (
+        ({"mode": "cogent"}, False, "jitter"),
+        ({"mode": "cogent", "recon_views": "orig"}, False, "jitter"),
+        ({"mode": "contrastive_only"}, False, "jitter"),
+        ({"mode": "generative_only"}, False, "jitter"),
+        ({"mode": "generative_only", "recon_views": "orig"}, False, "jitter"),
+        ({"mode": "cogent", "reconstruct_target": "masked"}, False, "jitter"),
+        ({"mode": "cogent"}, True, "jitter"),
+        ({"mode": "cogent", "symmetric_ntxent": True}, False, "time_mask"),
+    )
+    values = np.random.default_rng(31).normal(size=(4, 32, 1)).astype(np.float32)
+    for loss_kwargs, keep_zeroed, kind in cases:
+        settings = RunSettings(
+            meta=meta,
+            patch=patch,
+            model=ModelConfig(
+                d_model=16, n_blocks=2, n_heads=2, mlp_ratio=2, proj_dim=8
+            ),
+            loss=LossConfig(**loss_kwargs),
+            augment=AugmentConfig(kind=kind, epsilon=0.1, mask_fraction=0.25),
+            train=TrainConfig(),
+            split=SplitPlan(),
+            keep_zeroed=keep_zeroed,
+        )
+        params = init_params(
+            settings.model,
+            patch,
+            meta,
+            proj_tokens=patch.n_patches(meta.T) if keep_zeroed else None,
+            loss=settings.loss,
+        )
+        results = []
+        for parts_of in (_per_view_loss_parts, _loss_parts):
+            rngs = tuple(np.random.default_rng(k) for k in (41, 42, 43))
+            parts = parts_of(values, params, settings, rngs)
+            total, _ = joint_loss(settings.loss, 1.0, 1.0, *parts)
+            params.zero_grads()
+            total.backward()
+            grads = {name: t.grad.copy() for name, t in params.items()}
+            results.append(([None if p is None else p.data for p in parts], grads))
+        (expect, expect_grads), (got, got_grads) = results
+        case = f"{loss_kwargs}, keep_zeroed={keep_zeroed}, {kind}"
+        for label, a, b in zip(("l_c", "l_r_orig", "l_r_aug", "l_r"), got, expect):
+            assert (a is None) == (b is None), f"{case}: {label} in one pass only"
+            assert a is None or np.array_equal(a, b), (
+                f"{case}: stacked {label} {a} differs from per-view {b}"
+            )
+        top = max(float(np.abs(g).max()) for g in expect_grads.values())
+        for name, g in expect_grads.items():
+            if name.endswith("attn.wk.b"):
+                # softmax cancels the q.b shift of a score row, so the exact
+                # gradient is zero and both passes hold rounding noise
+                noise = max(np.abs(g).max(), np.abs(got_grads[name]).max())
+                assert noise < 1e-6 * top, f"{case}: {name} gradient {noise}"
+                continue
+            scale = float(np.abs(g).max())
+            assert np.allclose(got_grads[name], g, rtol=1e-5, atol=1e-5 * scale), (
+                f"{case}: gradient of {name} differs beyond rtol 1e-5"
+            )
+
+
 def _full_gradcheck():
     # micro-config joint loss vs central differences, float64 storage
     from .gradcheck import joint_loss_gradient_errors
@@ -477,6 +617,7 @@ CHECKS = (
     ("augmentation statistics", _augment_oracles),
     ("parameter init determinism", _init_oracle),
     ("positional permutation equivariance", _permutation_oracle),
+    ("stacked views equal separate views", _stacked_views_oracle),
     ("full joint-loss gradient check", _full_gradcheck),
     ("synthetic convergence run", _convergence_run),
 )

@@ -4,6 +4,13 @@ Every source of randomness is a numpy Generator derived from (seed, stage
 tag, epoch, batch) integers, so a (seed, config, corpus) triple maps to a
 bit-exact run. Sanity-split losses reuse fixed masks/views across epochs so
 the model-selection signal is comparable between epochs.
+
+Pretraining masks the original and the augmented view from separate rng
+streams, then runs both through the encoder, projection head and decoder as
+one stacked batch of 2B samples and splits the results per view. Those
+stages act per sample, so each view's loss terms carry the bits of a
+per-view pass; the parameter gradients sum both views' rows in one
+reduction.
 """
 
 from __future__ import annotations
@@ -144,69 +151,78 @@ def _masked_recon_term(
     return tsum(d * d) * (1.0 / (b * count_per_sample))
 
 
-def _view_forward(values, params, settings: RunSettings, rng_mask):
+def _patchify_view(values, settings: RunSettings, rng_mask):
+    """(tokens, token_idx, masks, full) of one view; `full` is the
+    all-patches target, built only for the masked target."""
     tokens, idx, masks = batch_patchify_mask(
         values, settings.patch, rng_mask, settings.keep_zeroed
     )
+    full = None
+    if settings.loss.reconstruct_target == "masked":
+        full, _ = _full_tokens(values, settings.patch)
+    return tokens, idx, masks, full
+
+
+def _stacked_terms(views, params, cfg: LossConfig, keep_zeroed: bool = False):
+    """Loss terms of one or two views, run through the model as one batch.
+
+    `views` holds one `_patchify_view` tuple of B rows per view, original
+    first. The views are stacked along the batch axis, and `encode`,
+    `project_head` and `decode` each run once on the stack. They act per
+    sample, so every forward value equals that of a per-view pass. Returns
+    l_c (None unless the mode is contrastive) and one reconstruction term
+    per scored view (none unless the mode reconstructs).
+    """
+    b = views[0][0].shape[0]
+    tokens, idx, masks = (
+        np.concatenate([view[k] for view in views]) for k in range(3)
+    )
     z = encode(tokens, idx, params)
-    return tokens, idx, masks, z
-
-
-def _view_reconstruction(
-    values, tokens, idx, masks, z, params, settings: RunSettings
-) -> Tensor:
-    cfg = settings.loss
-    t = values.shape[1]
-    n = settings.patch.n_patches(t)
-    v = settings.patch.n_visible(t)
-    if cfg.reconstruct_target == "visible":
-        p_hat = decode(z, idx, params)
-        if settings.keep_zeroed:
-            return _masked_recon_term(p_hat, tokens, masks, v)
-        return patch_reconstruction_term(p_hat, Tensor(tokens))
-    # standard masked-autoencoder target: fill holes with the mask token and
-    # score only the hidden patches
-    b, _, d = values.shape
-    full = values[:, : n * settings.patch.L, :].reshape(
-        b, n, settings.patch.L * d
-    ).astype(np.float32)
-    p_hat = decode(z, idx, params, masks=masks)
-    return _masked_recon_term(p_hat, full, 1 - masks, n - v)
+    l_c = None
+    if cfg.needs_contrastive:
+        h = project_head(z, params)
+        l_c = contrastive_loss(
+            h[:b], h[b:], cfg.tau, symmetric=cfg.symmetric_ntxent
+        )
+    if not cfg.needs_reconstruction:
+        return l_c, []
+    if not cfg.needs_aug_reconstruction and len(views) > 1:
+        views, z, idx, masks = views[:1], z[:b], idx[:b], masks[:b]
+    masked = cfg.reconstruct_target == "masked"
+    p_hat = decode(z, idx, params, masks=masks if masked else None)
+    n = masks.shape[1]
+    visible = int(masks[0].sum())  # exact-count masks: the same in every row
+    terms = []
+    for i, (view_tokens, _, view_masks, full) in enumerate(views):
+        part = p_hat if len(views) == 1 else p_hat[i * b : (i + 1) * b]
+        if masked:
+            # standard masked-autoencoder target: the decoder filled the
+            # holes with the mask token; score only the hidden patches
+            term = _masked_recon_term(part, full, 1 - view_masks, n - visible)
+        elif keep_zeroed:
+            term = _masked_recon_term(part, view_tokens, view_masks, visible)
+        else:
+            term = patch_reconstruction_term(part, Tensor(view_tokens))
+        terms.append(term)
+    return l_c, terms
 
 
 def _loss_parts(values, params, settings: RunSettings, rngs):
-    """Forward both views as the mode requires; return loss Tensors."""
+    """Forward the views the mode needs as one stacked batch; return loss
+    Tensors. Each view is masked from its own rng stream."""
     cfg = settings.loss
     rng_aug, rng_mask_o, rng_mask_a = rngs
-    tokens_o, idx_o, masks_o, z_o = _view_forward(
-        values, params, settings, rng_mask_o
-    )
-    z_a = tokens_a = idx_a = masks_a = views = None
+    views = [_patchify_view(values, settings, rng_mask_o)]
     if cfg.needs_aug_view:
-        views = make_views_batch(values, settings.augment, rng_aug)
-        tokens_a, idx_a, masks_a, z_a = _view_forward(
-            views, params, settings, rng_mask_a
-        )
-    l_c = None
-    if cfg.needs_contrastive:
-        l_c = contrastive_loss(
-            project_head(z_o, params),
-            project_head(z_a, params),
-            cfg.tau,
-            symmetric=cfg.symmetric_ntxent,
-        )
+        augmented = make_views_batch(values, settings.augment, rng_aug)
+        views.append(_patchify_view(augmented, settings, rng_mask_a))
+    l_c, terms = _stacked_terms(views, params, cfg, settings.keep_zeroed)
     l_r_orig = l_r_aug = l_r = None
-    if cfg.needs_reconstruction:
-        l_r_orig = _view_reconstruction(
-            values, tokens_o, idx_o, masks_o, z_o, params, settings
-        )
-        if cfg.needs_aug_reconstruction:
-            l_r_aug = _view_reconstruction(
-                views, tokens_a, idx_a, masks_a, z_a, params, settings
-            )
+    if terms:
+        l_r_orig = l_r = terms[0]
+        if len(terms) > 1:
+            l_r_aug = terms[1]
             l_r = (l_r_orig + l_r_aug) * 0.5
-        else:
-            l_r = l_r_orig
     return l_c, l_r_orig, l_r_aug, l_r
 
 

@@ -107,6 +107,20 @@ class TestMakeView:
         b = make_view(s, cfg, np.random.default_rng(2))
         assert np.any(a.values != b.values)
 
+    @pytest.mark.parametrize("kind", ["jitter", "time_mask"])
+    def test_batch_equals_per_sample_views(self, kind):
+        # same bits, and the stream is left where per-sample draws leave it
+        values = np.random.default_rng(5).normal(size=(4, 12, 3)).astype(np.float32)
+        cfg = AugmentConfig(kind=kind, epsilon=0.1, mask_fraction=0.25)
+        rng_batch, rng_each = np.random.default_rng(6), np.random.default_rng(6)
+        out = make_views_batch(values, cfg, rng_batch)
+        expect = np.stack(
+            [make_view(TimeSeriesSample(v, 0), cfg, rng_each).values for v in values]
+        )
+        assert out.dtype == expect.dtype
+        np.testing.assert_array_equal(out, expect)
+        assert rng_batch.standard_normal() == rng_each.standard_normal()
+
     def test_batch_helper_shape(self):
         values = np.zeros((3, 8, 2), dtype=np.float32)
         cfg = AugmentConfig(kind="jitter", epsilon=0.1)
