@@ -9,9 +9,11 @@ A checkpoint holds only the tensors of the stage that wrote it (pretraining:
 the encoder plus the heads its loss trained; fine-tuning: the encoder plus
 the classifier), so the stage is read off the tensor set (`finetuned`).
 
-Save -> load -> save is byte-identical. Loading raises ConfigError naming the
-file for an older magic, a truncated or corrupt file, or an architecture
-digest other than the one the caller expects.
+Saving writes a temp file beside the target and renames it over the target,
+so a failed write leaves an existing checkpoint untouched. Save -> load ->
+save is byte-identical. Loading raises ConfigError naming the file for an
+older magic, a truncated or corrupt file, or an architecture digest other
+than the one the caller expects.
 """
 
 from __future__ import annotations
@@ -94,17 +96,30 @@ def _manifest_dict(ckpt: Checkpoint) -> dict:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write `ckpt` to `path`, replacing any file there only once complete.
+
+    The bytes go to `<path>.tmp` in the same directory, which is then renamed
+    over `path`. If writing fails, the temp file is removed and a checkpoint
+    already at `path` is left as it was.
+    """
     manifest = json.dumps(
         _manifest_dict(ckpt), sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(manifest)))
-        fh.write(manifest)
-        for arr in ckpt.params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(manifest)))
+            fh.write(manifest)
+            for arr in ckpt.params.values():
+                # through the array's buffer: no bytes copy
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:

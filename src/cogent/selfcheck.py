@@ -33,6 +33,7 @@ from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, batch_patchify_mask, sample_mask
 from .tensor import (
     Tensor,
+    _erf,
     exp,
     finite_diff_check,
     gelu,
@@ -109,6 +110,32 @@ def _gelu_oracle():
     got = gelu(Tensor(np.array(1.0, np.float32))).item()
     expect = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
     assert abs(got - expect) < 1e-6, f"gelu(1) = {got}, expected {expect}"
+
+
+def _erf_oracle():
+    """gelu's erf against math.erf on 400,001 points over [-6, 6] and the edges.
+
+    In float32 it must equal math.erf rounded to float32; in float64 it must
+    stay within 4 ulp of it.
+    """
+    grid = np.linspace(-6.0, 6.0, 400_001)
+    for dtype, max_ulps in ((np.float32, 0), (np.float64, 4)):
+        name = np.dtype(dtype).name
+        edges = [0.0, -0.0, np.finfo(dtype).smallest_subnormal, 1.0, -1.0, 8.0,
+                 -8.0, 27.0, -27.0, np.inf, -np.inf, np.nan]
+        x = np.concatenate([grid, edges]).astype(dtype)
+        got = _erf(x)
+        expect = np.array([math.erf(v) for v in x.tolist()]).astype(dtype)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan), f"{name} erf: NaN mismatch"
+        x, got, expect = x[~nan], got[~nan], expect[~nan]
+        assert np.array_equal(np.signbit(got), np.signbit(expect)), f"{name} erf: sign"
+        ulps = np.abs(got.astype(np.float64) - expect) / np.spacing(np.abs(expect))
+        worst = int(np.argmax(ulps))
+        assert ulps[worst] <= max_ulps, (
+            f"{name} erf({x[worst]!r}) = {got[worst]!r} is {ulps[worst]} ulp from "
+            f"math.erf's {expect[worst]!r} (bound {max_ulps})"
+        )
 
 
 # The primitive graphs that the fused ops in `tensor` replace. Each fused op
@@ -526,7 +553,10 @@ def _stacked_views_oracle():
             total, _ = joint_loss(settings.loss, 1.0, 1.0, *parts)
             params.zero_grads()
             total.backward()
-            grads = {name: t.grad.copy() for name, t in params.items()}
+            grads = {
+                name: None if t.grad is None else t.grad.copy()
+                for name, t in params.items()
+            }
             results.append(([None if p is None else p.data for p in parts], grads))
         (expect, expect_grads), (got, got_grads) = results
         case = f"{loss_kwargs}, keep_zeroed={keep_zeroed}, {kind}"
@@ -535,8 +565,16 @@ def _stacked_views_oracle():
             assert a is None or np.array_equal(a, b), (
                 f"{case}: stacked {label} {a} differs from per-view {b}"
             )
-        top = max(float(np.abs(g).max()) for g in expect_grads.values())
+        top = max(
+            (float(np.abs(g).max()) for g in expect_grads.values() if g is not None),
+            default=0.0,
+        )
         for name, g in expect_grads.items():
+            assert (g is None) == (got_grads[name] is None), (
+                f"{case}: {name} has a gradient in one pass only"
+            )
+            if g is None:
+                continue
             if name.endswith("attn.wk.b"):
                 # softmax cancels the q.b shift of a score row, so the exact
                 # gradient is zero and both passes hold rounding noise
@@ -605,6 +643,7 @@ CHECKS = (
     ("softmax closed forms", _softmax_oracle),
     ("layer_norm two-point row", _layer_norm_oracle),
     ("gelu gaussian cdf at 1", _gelu_oracle),
+    ("erf against math.erf (float32 exact, float64 4 ulp)", _erf_oracle),
     ("fused ops equal their primitive compositions", _fusion_oracle),
     ("finite-difference quadratic", _quadratic_gradcheck),
     ("nt-xent closed forms and brute force", _ntxent_oracles),

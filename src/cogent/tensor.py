@@ -14,6 +14,11 @@ A float64 storage mode (pass float64 data in) is available for verification
 harnesses that need finite differences below float32 noise; every product
 and gradient then runs in float64.
 
+`gelu` is exact, x * Phi(x). Its erf is a numpy port of Cephes' erf/erfc
+(ndtr.c, the code behind `scipy.special.erf`): evaluated in float64, then
+rounded to the storage dtype, so in float32 it is bit-identical to scipy's
+erf. The forward pass runs in blocks that keep the float64 scratch in cache.
+
 `layer_norm`, `softmax`, `logsumexp` and `l2_normalize` are each a single
 graph node. Their forward pass and backward closure replay the numpy
 arithmetic of the primitive graph they replace (add/sub/mul/div,
@@ -40,7 +45,6 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from scipy.special import erf as _erf
 
 __all__ = [
     "Tensor",
@@ -492,6 +496,110 @@ def _as64(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float64, copy=False)
 
 
+# -- erf: a numpy port of Cephes' erf/erfc (ndtr.c) -----------------------------
+#
+# The coefficients, the Horner order and the branch points are Cephes'. Every
+# step is one IEEE float64 operation, none reordered, so rounded to float32
+# the values equal scipy.special.erf's float32 erf bit for bit.
+
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """Cephes polevl: Horner's rule from the leading coefficient coef[0]."""
+    np.multiply(x, coef[0], out=out)
+    np.add(out, coef[1], out=out)
+    for c in coef[2:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _p1evl(x: np.ndarray, coef, out: np.ndarray) -> np.ndarray:
+    """Cephes p1evl: polevl with an implied leading coefficient of 1."""
+    np.add(x, coef[0], out=out)
+    for c in coef[1:]:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _erfc_tail(a: np.ndarray) -> np.ndarray:
+    """Cephes erfc of a > 1 (float64): exp(-a^2) P(a)/Q(a) below 8, and from
+    8 up R(a)/S(a), or 0 where -a^2 < -MAXLOG.
+
+    P/Q runs over every element first, so it may overflow on those from 8 up
+    before they are overwritten; the caller turns those warnings off.
+    """
+    z = -a * a
+    y = np.exp(z) * _polevl(a, _ERFC_P, np.empty_like(a)) / _p1evl(
+        a, _ERFC_Q, np.empty_like(a)
+    )
+    far = np.flatnonzero(a >= 8.0)
+    if far.size:
+        x, zf = a[far], z[far]
+        yf = np.exp(zf) * _polevl(x, _ERFC_R, np.empty_like(x)) / _p1evl(
+            x, _ERFC_S, np.empty_like(x)
+        )
+        y[far] = np.where(zf < -_MAXLOG, 0.0, yf)
+    return y
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _erf_into(z: np.ndarray, out: np.ndarray, w: np.ndarray, q: np.ndarray):
+    """Cephes erf of z, evaluated in float64 into out (w, q: float64 scratch).
+
+    The |z| <= 1 form z T(z^2) / U(z^2) runs over every element, then
+    sign(z) (1 - erfc|z|) overwrites those past 1; the first form may
+    overflow on them, hence the errstate. NaN stays NaN in the first form.
+    """
+    np.copyto(w, z)
+    np.multiply(w, w, out=w)
+    tail = np.flatnonzero(w > 1.0)  # z^2 > 1 exactly when |z| > 1
+    _polevl(w, _ERF_T, out)
+    _p1evl(w, _ERF_U, q)
+    np.copyto(w, z)
+    np.multiply(w, out, out=out)
+    np.divide(out, q, out=out)
+    if tail.size:
+        zt = w[tail]
+        out[tail] = np.copysign(1.0 - _erfc_tail(np.abs(zt)), zt)
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """erf of x, evaluated in float64 and rounded to x's dtype."""
+    z = x.reshape(-1)
+    out, w, q = (np.empty(z.shape) for _ in range(3))
+    return _erf_into(z, out, w, q).reshape(x.shape).astype(x.dtype, copy=False)
+
+
 # -- nonlinearities ----------------------------------------------------------
 
 
@@ -509,14 +617,40 @@ def gelu(a) -> Tensor:
     """Gaussian-CDF gelu: x * Phi(x), exact (no tanh approximation)."""
     a = _coerce(a)
     x = a.data
-    phi_cdf = 0.5 * (1.0 + _erf(x * _INV_SQRT2))
-    data = (x * phi_cdf).astype(x.dtype)
+    data, phi_cdf = _gelu_forward(x)
 
     def backward(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
         return ((a, g * (phi_cdf + x * pdf)),)
 
     return _result(data, (a,), backward)
+
+
+_GELU_BLOCK = 1 << 15  # elements; a block's float64 erf scratch stays in cache
+
+
+def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * Phi(x) and Phi(x) = 0.5 * (1 + erf(x / sqrt(2))), block by block.
+
+    Within a block the storage-dtype steps are those of the whole-array
+    expression, in its order, so the values do not depend on the blocking.
+    A block's x / sqrt(2) waits in its slice of Phi until erf replaces it.
+    """
+    flat = x.reshape(-1)
+    data = np.empty_like(flat)
+    cdf = np.empty_like(flat)
+    n = min(flat.size, _GELU_BLOCK)
+    erf64, w, q = (np.empty(n) for _ in range(3))
+    for start in range(0, flat.size, _GELU_BLOCK):
+        stop = start + _GELU_BLOCK
+        xb, cb = flat[start:stop], cdf[start:stop]
+        k = xb.size
+        z = np.multiply(xb, _INV_SQRT2, out=cb)
+        np.copyto(cb, _erf_into(z, erf64[:k], w[:k], q[:k]), casting="same_kind")
+        np.add(cb, 1.0, out=cb)
+        np.multiply(cb, 0.5, out=cb)
+        np.multiply(xb, cb, out=data[start:stop])
+    return data.reshape(x.shape), cdf.reshape(x.shape)
 
 
 def exp(a) -> Tensor:

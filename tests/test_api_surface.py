@@ -1,4 +1,4 @@
-"""No public name exists only for tests.
+"""No public name exists only for tests, and numpy is the only dependency.
 
 Every name that `cogent/__init__.py` re-exports, and every name in
 `tensor.__all__`, must be used by the package's own code outside
@@ -7,6 +7,9 @@ as a name in the module that defines it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cogent
@@ -42,3 +45,29 @@ def referenced_names() -> set[str]:
 def test_every_export_is_used_by_the_package():
     unused = sorted(exported_names() - referenced_names())
     assert unused == [], f"exported but only tests use them: {unused}"
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only dependency; scipy once came in for gelu's erf
+    code = "import sys, cogent, cogent.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_no_module_imports_scipy():
+    importers = []
+    for path in SRC.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.append(path.name)
+    assert importers == []

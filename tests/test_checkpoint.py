@@ -89,6 +89,39 @@ class TestRoundTrip:
         save_checkpoint(sample_checkpoint(), tmp_path / "e.ckpt")
         assert (tmp_path / "e.ckpt").read_bytes()[:8] == MAGIC
 
+    def test_payload_is_little_endian_float32_of_any_input_layout(self, tmp_path):
+        # a transposed float64 array is converted, not written as it lies
+        ckpt = sample_checkpoint()
+        w = np.random.default_rng(1).normal(size=(8, 4)).T
+        ckpt.params["patch_proj.w"] = w
+        save_checkpoint(ckpt, tmp_path / "f.ckpt")
+        raw = (tmp_path / "f.ckpt").read_bytes()
+        payload = b"".join(
+            np.asarray(a, dtype="<f4").tobytes() for a in ckpt.params.values()
+        )
+        assert raw.endswith(payload)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "g.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        before = path.read_bytes()
+        broken = sample_checkpoint()
+        # converting the last array fails after the others are written
+        broken.params["cls_token"] = np.array([["not a number"] * 8])
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.ckpt"]
+
+    def test_overwrite_leaves_only_the_checkpoint(self, tmp_path):
+        path = tmp_path / "h.ckpt"
+        first, second = sample_checkpoint(), sample_checkpoint()
+        second.epoch = 13
+        save_checkpoint(first, path)
+        save_checkpoint(second, path)
+        assert load_checkpoint(path).epoch == 13
+        assert [p.name for p in tmp_path.iterdir()] == ["h.ckpt"]
+
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(b"NOTMAGIC" + b"\x00" * 32)

@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+from cogent import selfcheck
 from cogent.cli import main
 from cogent.data import load_corpus
 from cogent.tensor import Tensor
@@ -369,7 +371,14 @@ class TestDispatch:
     def test_selfcheck_reports_a_wrong_library(
         self, target, wrong, check, monkeypatch, capsys
     ):
-        monkeypatch.setattr(f"cogent.selfcheck.{target}", wrong)
+        # a wrong library: the function is wrong where it is defined and in
+        # every module that imported it
+        right = getattr(selfcheck, target)
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] != "cogent":
+                continue
+            if getattr(module, target, None) is right:
+                monkeypatch.setattr(module, target, wrong)
         assert main(["selfcheck", "--fast"]) == 2
         failed = [
             line for line in capsys.readouterr().out.splitlines()

@@ -4,6 +4,8 @@ The scalar-loop and closed-form oracles (matmul, softmax, layer_norm, gelu)
 live in `cogent.selfcheck`, which `tests/test_selfcheck.py` runs.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,40 @@ class TestGelu:
     def test_large_x_asymptote(self):
         out = gelu(Tensor(np.array(10.0, dtype=np.float32))).item()
         assert abs(out - 10.0) < 1e-6
+
+    # Recorded with gelu on scipy.special.erf, whose float32 erf the numpy
+    # port in `tensor` matches bit for bit.
+    STRIDED_SHA256 = "81d77bfbd57e9a3c12123c2584da39d1d254bed33a4442f1f7ca5436cf11677c"
+    EDGES = [0.0, -0.0, 1e-45, -1e-45, 1.1754942e-38, -1.1754942e-38,
+             3.9, -3.9, 8.0, -8.0, 27.0, -27.0, np.inf]
+    VALUES = [0.0, -0.0, 0.0, -0.0, 5.877472e-39, -5.877472e-39,
+              3.8998125, -0.0001875937, 8.0, -0.0, 27.0, -0.0, np.inf]
+    GRADS = [0.5, 0.5, 0.5, 0.5, 0.5, 0.5,
+             1.0007267, -0.00072665507, 1.0, -4.041817e-14, 1.0, 0.0, np.nan]
+
+    def test_float32_values_pinned_over_strided_bit_patterns(self):
+        # every 257th float32 bit pattern that is finite: 16,646,655 values
+        # of both signs, from subnormal to the largest
+        step, chunk = 257, 257 << 20
+        digest = hashlib.sha256()
+        with no_grad():
+            for start in range(0, 1 << 32, chunk):
+                stop = min(start + chunk, 1 << 32)
+                bits = np.arange(start, stop, step, dtype=np.uint64).astype(np.uint32)
+                x = bits[(bits & 0x7F800000) != 0x7F800000].view(np.float32)
+                digest.update(gelu(Tensor(x)).data.astype("<f4").tobytes())
+        assert digest.hexdigest() == self.STRIDED_SHA256
+
+    def test_edge_values_and_gradients_pinned(self):
+        x = Tensor(np.array(self.EDGES, dtype=np.float32), requires_grad=True)
+        out = gelu(x)
+        with np.errstate(invalid="ignore"):  # the gradient at +inf is inf * 0
+            tsum(out).backward()
+        for got, pinned in ((out.data, self.VALUES), (x.grad, self.GRADS)):
+            expect = np.array(pinned, dtype=np.float32)
+            assert got.dtype == np.float32
+            assert np.array_equal(got, expect, equal_nan=True)
+            assert np.array_equal(np.signbit(got[:-1]), np.signbit(expect[:-1]))
 
 
 class TestFiniteDiffCheck:
