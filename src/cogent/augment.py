@@ -23,7 +23,6 @@ class AugmentConfig:
     kind: str = "jitter"
     epsilon: float = 0.1
     mask_fraction: float = 0.5
-    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in KINDS:

@@ -52,12 +52,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _split_overrides(rest: list[str]) -> dict[str, str]:
-    """Interpret leftover `--a.b value` pairs as config overrides."""
+    """Interpret leftover `--key value` pairs as config overrides; the
+    config layer reports keys it does not know."""
     overrides = {}
     i = 0
     while i < len(rest):
         flag = rest[i]
-        if not flag.startswith("--") or "." not in flag:
+        if not flag.startswith("--"):
             raise ConfigError(f"unknown argument {flag!r}")
         if i + 1 >= len(rest):
             raise ConfigError(f"override {flag!r} is missing a value")

@@ -1,14 +1,17 @@
-"""Run configuration: documented defaults, file/override resolution, validation.
+"""Run configuration: key schema, file/override resolution, validation.
 
-Keys are dotted paths. Precedence, lowest first: built-in defaults, the
-COGENT_SEED environment variable (seed only), the config file, command-line
-overrides. Validation collects every bad key before failing.
+Keys are dotted paths, derived from the fields of each stage's config
+dataclass, which hold the defaults. Precedence, lowest first: built-in
+defaults, the COGENT_SEED environment variable (seed only), the config file,
+command-line overrides. Validation collects every bad key before failing.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+from dataclasses import fields
 from pathlib import Path
 
 from .augment import AugmentConfig
@@ -22,42 +25,31 @@ from .trainer import RunSettings, TrainConfig
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
 
-# key -> (type, default); "optional_int" admits null (resolved elsewhere)
+# Each stage config's fields are the keys of its section, in this order.
+_SECTIONS = (
+    ("augment", AugmentConfig),
+    ("patch", PatchConfig),
+    ("model", ModelConfig),
+    ("loss", LossConfig),
+    ("train", TrainConfig),
+    ("split", SplitPlan),
+)
+
+# key -> (kind, default). Each stage-config field is the key
+# "<section>.<field>" with its annotation and default, except a `seed` field,
+# which takes the run-wide `seed`. Only `seed`, `mask.keep_zeroed` and
+# `model.init_seed` are written here: "optional_int" admits null, and a null
+# model.init_seed means the run seed.
 SCHEMA: dict[str, tuple[str, object]] = {
     "seed": ("int", 0),
-    "augment.kind": ("str", "jitter"),
-    "augment.epsilon": ("float", 0.1),
-    "augment.mask_fraction": ("float", 0.5),
-    "patch.L": ("int", 64),
-    "patch.theta": ("float", 0.75),
+    **{
+        f"{section}.{f.name}": (getattr(f.type, "__name__", f.type), f.default)
+        for section, cls in _SECTIONS
+        for f in fields(cls)
+        if f.name != "seed"
+    },
     "mask.keep_zeroed": ("bool", False),
-    "model.d_model": ("int", 512),
-    "model.n_blocks": ("int", 2),
-    "model.n_heads": ("int", 8),
-    "model.mlp_ratio": ("int", 4),
-    "model.proj_dim": ("int", 128),
-    "model.classifier_hidden_ratio": ("float", 0.10),
     "model.init_seed": ("optional_int", None),
-    "loss.tau": ("float", 0.2),
-    "loss.mode": ("str", "cogent"),
-    "loss.lambda_policy": ("str", "auto"),
-    "loss.lambda_c": ("float", 1.0),
-    "loss.lambda_r": ("float", 1.0),
-    "loss.reconstruct_target": ("str", "visible"),
-    "loss.recon_views": ("str", "both"),
-    "loss.symmetric_ntxent": ("bool", False),
-    "train.epochs_pretrain": ("int", 100),
-    "train.epochs_finetune": ("int", 20),
-    "train.batch_size": ("int", 16),
-    "train.lr_pretrain": ("float", 1e-3),
-    "train.lr_finetune": ("float", 5e-4),
-    "train.beta1": ("float", 0.9),
-    "train.beta2": ("float", 0.999),
-    "train.adam_eps": ("float", 1e-8),
-    "train.weight_decay": ("float", 0.01),
-    "train.eval_every": ("int", 1),
-    "split.pretrain_fraction": ("float", 0.9),
-    "split.finetune_label_ratio": ("float", 0.3),
 }
 
 
@@ -76,6 +68,13 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
     return flat
 
 
+def _finite(key: str, number: float, errors: list[str]):
+    if math.isfinite(number):
+        return number
+    errors.append(f"{key}: expected a finite float, got {number}")
+    return None
+
+
 def _coerce(key: str, value, errors: list[str]):
     kind, _ = SCHEMA[key]
     if value is None and kind == "optional_int":
@@ -88,7 +87,7 @@ def _coerce(key: str, value, errors: list[str]):
                     return None
                 return int(text)
             if kind == "float":
-                return float(text)
+                return _finite(key, float(text), errors)
             if kind == "bool":
                 low = text.lower()
                 if low in _BOOL_TRUE:
@@ -109,7 +108,7 @@ def _coerce(key: str, value, errors: list[str]):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             errors.append(f"{key}: expected float, got {type(value).__name__}")
             return None
-        return float(value)
+        return _finite(key, float(value), errors)
     if kind == "bool":
         if not isinstance(value, bool):
             errors.append(f"{key}: expected bool, got {type(value).__name__}")
@@ -173,74 +172,19 @@ def settings_from_config(cfg: dict, meta: DatasetMeta) -> RunSettings:
     """Instantiate all stage configs; collects every constraint violation."""
     errors: list[str] = []
     built = {}
-
-    def build(name, fn):
-        try:
-            built[name] = fn()
-        except ConfigError as e:
-            errors.append(str(e))
-
     seed = cfg["seed"]
     init_seed = cfg["model.init_seed"]
-    build("patch", lambda: PatchConfig(L=cfg["patch.L"], theta=cfg["patch.theta"]))
-    build(
-        "model",
-        lambda: ModelConfig(
-            d_model=cfg["model.d_model"],
-            n_blocks=cfg["model.n_blocks"],
-            n_heads=cfg["model.n_heads"],
-            mlp_ratio=cfg["model.mlp_ratio"],
-            proj_dim=cfg["model.proj_dim"],
-            classifier_hidden_ratio=cfg["model.classifier_hidden_ratio"],
-            init_seed=seed if init_seed is None else init_seed,
-        ),
-    )
-    build(
-        "loss",
-        lambda: LossConfig(
-            mode=cfg["loss.mode"],
-            tau=cfg["loss.tau"],
-            lambda_policy=cfg["loss.lambda_policy"],
-            lambda_c=cfg["loss.lambda_c"],
-            lambda_r=cfg["loss.lambda_r"],
-            reconstruct_target=cfg["loss.reconstruct_target"],
-            recon_views=cfg["loss.recon_views"],
-            symmetric_ntxent=cfg["loss.symmetric_ntxent"],
-        ),
-    )
-    build(
-        "augment",
-        lambda: AugmentConfig(
-            kind=cfg["augment.kind"],
-            epsilon=cfg["augment.epsilon"],
-            mask_fraction=cfg["augment.mask_fraction"],
-            seed=seed,
-        ),
-    )
-    build(
-        "train",
-        lambda: TrainConfig(
-            epochs_pretrain=cfg["train.epochs_pretrain"],
-            epochs_finetune=cfg["train.epochs_finetune"],
-            batch_size=cfg["train.batch_size"],
-            lr_pretrain=cfg["train.lr_pretrain"],
-            lr_finetune=cfg["train.lr_finetune"],
-            beta1=cfg["train.beta1"],
-            beta2=cfg["train.beta2"],
-            adam_eps=cfg["train.adam_eps"],
-            weight_decay=cfg["train.weight_decay"],
-            seed=seed,
-            eval_every=cfg["train.eval_every"],
-        ),
-    )
-    build(
-        "split",
-        lambda: SplitPlan(
-            pretrain_fraction=cfg["split.pretrain_fraction"],
-            finetune_label_ratio=cfg["split.finetune_label_ratio"],
-            seed=seed,
-        ),
-    )
+    values = {**cfg, "model.init_seed": seed if init_seed is None else init_seed}
+    for section, cls in _SECTIONS:
+        try:
+            built[section] = cls(
+                **{
+                    f.name: seed if f.name == "seed" else values[f"{section}.{f.name}"]
+                    for f in fields(cls)
+                }
+            )
+        except ConfigError as e:
+            errors.append(str(e))
     if not errors and built["patch"].L > meta.T:
         errors.append(f"patch.L {built['patch'].L} exceeds sequence length {meta.T}")
     if errors:
@@ -251,12 +195,7 @@ def settings_from_config(cfg: dict, meta: DatasetMeta) -> RunSettings:
     config_dict["data.num_classes"] = meta.num_classes
     return RunSettings(
         meta=meta,
-        patch=built["patch"],
-        model=built["model"],
-        loss=built["loss"],
-        augment=built["augment"],
-        train=built["train"],
-        split=built["split"],
+        **built,
         keep_zeroed=cfg["mask.keep_zeroed"],
         config_dict=config_dict,
     )

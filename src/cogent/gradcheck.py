@@ -15,7 +15,7 @@ import numpy as np
 from .data import DatasetMeta
 from .losses import LossConfig
 from .model import ModelConfig, init_params
-from .patchmask import PatchConfig, sample_mask
+from .patchmask import PatchConfig, batch_patchify_mask
 from .tensor import Tensor, finite_diff_check
 from .trainer import _stacked_terms
 
@@ -57,15 +57,9 @@ def build_micro_instance(seed: int = 0, dtype=np.float64):
     rng = np.random.default_rng(seed + 100)
     values = rng.normal(size=(2, 16, 1))
     augmented = values + 0.1 * rng.standard_normal((2, 16, 1))
-    n = patch_cfg.n_patches(meta.T)
 
     def tokenize(batch, mask_rng):
-        patches = batch[:, : n * patch_cfg.L, :].reshape(2, n, patch_cfg.L)
-        masks = np.stack([sample_mask(n, patch_cfg.theta, mask_rng) for _ in range(2)])
-        v = patch_cfg.n_visible(meta.T)
-        idx = np.nonzero(masks)[1].reshape(2, v).astype(np.int64)
-        tokens = np.take_along_axis(patches, idx[:, :, None], axis=1)
-        return tokens.astype(dtype), idx, masks, None
+        return (*batch_patchify_mask(batch.astype(dtype), patch_cfg, mask_rng), None)
 
     return params, [
         tokenize(values, np.random.default_rng(seed + 200)),

@@ -95,17 +95,6 @@ class LossReport:
     lambda_r: float
     total: float
 
-    def as_dict(self) -> dict:
-        return {
-            "l_r_orig": self.l_r_orig,
-            "l_r_aug": self.l_r_aug,
-            "l_r": self.l_r,
-            "l_c": self.l_c,
-            "lambda_c": self.lambda_c,
-            "lambda_r": self.lambda_r,
-            "total": self.total,
-        }
-
 
 def patch_reconstruction_term(p_hat: Tensor, p: Tensor) -> Tensor:
     """Mean over patches of the squared L2 distance ||p_hat - p||^2."""

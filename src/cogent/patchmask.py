@@ -63,9 +63,9 @@ def batch_patchify_mask(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Patchify and mask a [B,T,D] batch with per-sample masks.
 
-    Returns (tokens [B,V,L*D], token_idx [B,V], masks [B,N]). With
-    keep_zeroed the masked patches stay in the token sequence as zeros
-    (V == N), the literal elementwise-masking form.
+    Returns (tokens [B,V,L*D] in the dtype of `values`, token_idx [B,V],
+    masks [B,N]). With keep_zeroed the masked patches stay in the token
+    sequence as zeros (V == N), the literal elementwise-masking form.
     """
     B, T, D = values.shape
     n = cfg.n_patches(T)
@@ -74,8 +74,8 @@ def batch_patchify_mask(
     if keep_zeroed:
         tokens = patches * masks[:, :, None].astype(patches.dtype)
         idx = np.broadcast_to(np.arange(n, dtype=np.int64), (B, n)).copy()
-        return tokens.astype(np.float32), idx, masks
+        return tokens, idx, masks
     v = n - round(cfg.theta * n)
     idx = np.nonzero(masks)[1].reshape(B, v).astype(np.int64)
     tokens = np.take_along_axis(patches, idx[:, :, None], axis=1)
-    return tokens.astype(np.float32), idx, masks
+    return tokens, idx, masks

@@ -277,7 +277,7 @@ def _recon_oracle():
 
 def _lambda_oracle():
     lc, lr = balance_lambdas(1.1, 64.0)
-    assert lc == 1.0 and abs(lr - 0.0171875) < 1e-12
+    assert lc == 1.0 and lr == 1.1 / 64.0 and abs(lr - 0.0171875) < 1e-12
 
 
 def _adam_oracle():
@@ -391,6 +391,28 @@ def _metric_oracles():
                     _check_sweeps(labels == cls, scores[:, cls])
 
 
+def _silhouette_loops(x: np.ndarray, labels: np.ndarray) -> float:
+    """Mean silhouette from its definition, one distance at a time."""
+    scores = []
+    for i in range(len(x)):
+        own = [j for j in range(len(x)) if labels[j] == labels[i] and j != i]
+        if not own:
+            scores.append(0.0)
+            continue
+        a = float(np.mean([np.linalg.norm(x[i] - x[j]) for j in own]))
+        bs = []
+        for c in set(labels.tolist()) - {labels[i]}:
+            other = [j for j in range(len(x)) if labels[j] == c]
+            bs.append(float(np.mean([np.linalg.norm(x[i] - x[j]) for j in other])))
+        if not bs:
+            scores.append(0.0)
+            continue
+        b = min(bs)
+        m = max(a, b)
+        scores.append((b - a) / m if m > 0 else 0.0)
+    return float(np.mean(scores))
+
+
 def _silhouette_oracle():
     # clusters {(0,0),(0,1)} and {(10,0),(10,1)}: a = 1,
     # b = (10 + sqrt(101)) / 2, and every point scores (b - a) / b
@@ -403,14 +425,21 @@ def _silhouette_oracle():
     assert abs(got - 0.900249) < 1e-4
     assert silhouette_score(np.ones((4, 2)), np.array([0, 0, 1, 1])) == 0.0
     assert silhouette_score(np.full((6, 2), 3.0), np.array([0, 0, 0, 1, 1, 1])) == 0.0
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(30, 4))
+    labels = rng.integers(0, 3, size=30)
+    got, loops = silhouette_score(x, labels), _silhouette_loops(x, labels)
+    assert abs(got - loops) <= 1e-12, f"silhouette {got} vs loop oracle {loops}"
 
 
 def _augment_oracles():
-    rng = np.random.default_rng(4)
-    out = jitter(np.zeros((1000, 10), np.float32), 0.1, rng)
-    observed = np.abs(out).mean()
+    # mean |x' - x| for eps * N(0, 1) noise is eps * sqrt(2 / pi)
     expect = 0.1 * math.sqrt(2.0 / math.pi)
-    assert abs(observed - expect) / expect < 0.05, "half-normal mean failed"
+    for seed in (1, 4):
+        rng = np.random.default_rng(seed)
+        out = jitter(np.zeros((1000, 10), np.float32), 0.1, rng)
+        observed = np.abs(out).mean()
+        assert abs(observed - expect) / expect < 0.05, f"half-normal mean, seed {seed}"
     masked = time_mask(np.ones((1280, 1), np.float32), 0.5, rng)
     assert int(np.sum(np.all(masked == 0.0, axis=1))) == 640
 

@@ -97,11 +97,15 @@ class TrainConfig:
             "batch_size": self.batch_size,
             "lr_pretrain": self.lr_pretrain,
             "lr_finetune": self.lr_finetune,
+            "adam_eps": self.adam_eps,
             "eval_every": self.eval_every,
         }
         for key, value in positive.items():
             if value <= 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
+        for key, value in {"beta1": self.beta1, "beta2": self.beta2}.items():
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {value}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
@@ -226,13 +230,6 @@ def _loss_parts(values, params, settings: RunSettings, rngs):
     return l_c, l_r_orig, l_r_aug, l_r
 
 
-def _resolve_lambdas(settings: RunSettings, l_c, l_r) -> tuple[float, float]:
-    cfg = settings.loss
-    if cfg.mode != "cogent" or cfg.lambda_policy == "fixed":
-        return cfg.lambda_c, cfg.lambda_r
-    return balance_lambdas(l_c.item(), l_r.item())
-
-
 def _snapshot(
     params: ModelParams,
     settings: RunSettings,
@@ -328,7 +325,7 @@ def pretrain(
                 values, params, settings, rngs
             )
             if lambdas is None:
-                lambdas = _resolve_lambdas(settings, l_c, l_r)
+                lambdas = balance_lambdas(l_c.item(), l_r.item())
             total, report = joint_loss(
                 settings.loss, lambdas[0], lambdas[1], l_c, l_r_orig, l_r_aug, l_r
             )

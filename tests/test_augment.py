@@ -1,11 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
 from cogent.augment import AugmentConfig, jitter, make_view, make_views_batch, time_mask
 from cogent.data import TimeSeriesSample
 from cogent.errors import ConfigError
+
+# The half-normal jitter mean and the time-mask count at T=1280 live in
+# cogent.selfcheck (run by tests/test_selfcheck.py).
 
 
 class TestJitter:
@@ -14,15 +15,6 @@ class TestJitter:
         x = np.arange(12, dtype=np.float32).reshape(4, 3)
         out = jitter(x, 0.0, rng)
         np.testing.assert_array_equal(out, x)
-
-    def test_half_normal_mean(self):
-        # mean |x' - x| for eps*N(0,1) noise is eps * sqrt(2/pi)
-        rng = np.random.default_rng(1)
-        x = np.zeros((1000, 10), dtype=np.float32)
-        out = jitter(x, 0.1, rng)
-        observed = np.abs(out - x).mean()
-        expect = 0.1 * math.sqrt(2.0 / math.pi)
-        assert abs(observed - expect) / expect < 0.05
 
     def test_deterministic_under_seed(self):
         x = np.ones((8, 2), dtype=np.float32)

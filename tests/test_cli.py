@@ -100,6 +100,28 @@ class TestPretrainCommand:
         )
         assert rc == 1
 
+    def test_plain_unknown_override_exits_1(self, corpus_dir, tmp_path, capsys):
+        rc = main(
+            ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path)]
+            + ["--sed", "3"]
+        )
+        assert rc == 1
+        assert "unknown config key 'sed'" in capsys.readouterr().err
+
+    def test_seed_override_equals_environment_seed(
+        self, corpus_dir, pretrain_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("COGENT_SEED", raising=False)
+        run = ["pretrain", "--data", str(corpus_dir)] + SMALL
+        assert main(run + ["--out", str(tmp_path / "flag"), "--seed", "3"]) == 0
+        monkeypatch.setenv("COGENT_SEED", "3")
+        assert main(run + ["--out", str(tmp_path / "env")]) == 0
+        resolved = json.loads((tmp_path / "flag" / "resolved.json").read_text())
+        assert resolved["seed"] == 3
+        flag_bytes = (tmp_path / "flag" / "best.ckpt").read_bytes()
+        assert flag_bytes == (tmp_path / "env" / "best.ckpt").read_bytes()
+        assert flag_bytes != (pretrain_dir / "best.ckpt").read_bytes()
+
     def test_non_utf8_config_file_exits_1(self, corpus_dir, tmp_path, capsys):
         config = tmp_path / "bad.json"
         config.write_bytes(b'{"seed": "\xff"}')
@@ -118,6 +140,31 @@ class TestPretrainCommand:
             + ["--patch.theta", "1.0"]
         )
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--train.beta1", "1.0"),
+            ("--train.beta1", "-0.5"),
+            ("--train.beta2", "1.0"),
+            ("--train.adam_eps", "0"),
+            ("--train.lr_pretrain", "inf"),
+            ("--loss.tau", "nan"),
+        ],
+    )
+    def test_bad_optimizer_or_loss_value_exits_1(
+        self, corpus_dir, tmp_path, capsys, flag, value
+    ):
+        rc = main(
+            ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path)]
+            + SMALL
+            + [flag, value]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration")
+        assert flag.split(".")[1] in err
+        assert not (tmp_path / "best.ckpt").exists()
 
 
     @pytest.mark.parametrize(

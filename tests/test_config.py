@@ -1,10 +1,59 @@
+import dataclasses
 import json
 
 import pytest
 
-from cogent.config import defaults, resolve_config, settings_from_config
-from cogent.data import DatasetMeta
+from cogent.augment import AugmentConfig
+from cogent.config import SCHEMA, _coerce, defaults, resolve_config, settings_from_config
+from cogent.data import DatasetMeta, SplitPlan
 from cogent.errors import ConfigError
+from cogent.losses import LossConfig
+from cogent.model import ModelConfig
+from cogent.patchmask import PatchConfig
+from cogent.trainer import TrainConfig
+
+STAGES = {
+    "augment": AugmentConfig,
+    "patch": PatchConfig,
+    "model": ModelConfig,
+    "loss": LossConfig,
+    "train": TrainConfig,
+    "split": SplitPlan,
+}
+
+
+class TestSchema:
+    """The key schema is derived from the stage-config dataclasses."""
+
+    def test_keys_are_the_stage_fields_plus_three(self):
+        expected = {
+            f"{section}.{f.name}"
+            for section, cls in STAGES.items()
+            for f in dataclasses.fields(cls)
+            if f.name != "seed"
+        }
+        assert set(SCHEMA) == expected | {"seed", "mask.keep_zeroed", "model.init_seed"}
+        assert len(SCHEMA) == 34
+
+    def test_every_kind_is_one_coerce_accepts(self):
+        for key, (kind, default) in SCHEMA.items():
+            assert kind in ("int", "optional_int", "float", "bool", "str"), key
+            for given in (default, str(default)):
+                errors = []
+                got = _coerce(key, given, errors)
+                assert errors == [] and got == default, (key, given)
+                assert type(got) is type(default), (key, given)
+
+    def test_default_settings_are_the_default_dataclasses(self):
+        meta = DatasetMeta(T=96, D=1, num_classes=3, name="m")
+        settings = settings_from_config({**defaults(), "seed": 5}, meta)
+        assert settings.augment == AugmentConfig()
+        assert settings.patch == PatchConfig()
+        assert settings.model == ModelConfig(init_seed=5)
+        assert settings.loss == LossConfig()
+        assert settings.train == TrainConfig(seed=5)
+        assert settings.split == SplitPlan(seed=5)
+        assert settings.keep_zeroed is False
 
 
 class TestResolveConfig:
@@ -65,6 +114,14 @@ class TestResolveConfig:
         assert cfg["mask.keep_zeroed"] is True
         assert cfg["loss.symmetric_ntxent"] is False
         assert cfg["model.init_seed"] is None
+
+    def test_non_finite_floats_reported(self, tmp_path):
+        f = tmp_path / "nan.json"
+        f.write_text('{"loss.tau": NaN}')  # Python's json reads NaN
+        with pytest.raises(ConfigError) as err:
+            resolve_config(f, {"train.lr_pretrain": "inf", "patch.theta": "-inf"})
+        msg = str(err.value)
+        assert "loss.tau" in msg and "train.lr_pretrain" in msg and "patch.theta" in msg
 
 
 class TestSettingsFromConfig:

@@ -11,6 +11,9 @@ from cogent.optim import AdamConfig, AdamState, adam_step, decayed
 from cogent.patchmask import PatchConfig
 from cogent.tensor import Tensor, tsum
 
+# The closed-form first Adam step lives in cogent.selfcheck (run by
+# tests/test_selfcheck.py).
+
 
 def tiny_params():
     meta = DatasetMeta(T=8, D=1, num_classes=2, name="tiny")
@@ -40,17 +43,6 @@ class TestAdamStep:
                 )
             else:
                 np.testing.assert_array_equal(t.data, before[name])
-
-    def test_first_step_closed_form(self):
-        # w=0, g=1, lr=0.1: bias-corrected first step moves w to ~-0.1
-        params = tiny_params()
-        state = AdamState.for_params(params)
-        name = "patch_proj.b"
-        fill_zero_grads(params)
-        params.tensors[name].data[:] = 0.0
-        params.tensors[name].grad = np.ones_like(params[name].data)
-        adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.0))
-        np.testing.assert_allclose(params[name].data, -0.1, rtol=1e-6)
 
     def test_three_step_determinism(self):
         def run():
