@@ -25,7 +25,8 @@ _MICRO_LOSS = LossConfig(mode="cogent", tau=0.2)
 
 def build_micro_instance(seed: int = 0, dtype=np.float64):
     """Deterministic micro model plus one fixed two-sample batch, as two
-    tokenized views (original, jittered) in `trainer._stacked_terms` form.
+    tokenized views (original, jittered): one batch in `trainer._stacked_terms`
+    form.
 
     Parameters are redrawn at generic scales (weights sigma 0.25, norm gains
     near 1) instead of the training init: at the 0.02-std init the relu
@@ -70,8 +71,8 @@ def build_micro_instance(seed: int = 0, dtype=np.float64):
 def micro_joint_loss(params, views) -> Tensor:
     """Contrastive + both-view reconstruction with unit weights, on the
     stacked views, through the helper that pretraining runs."""
-    l_c, (l_r_orig, l_r_aug) = _stacked_terms(views, params, _MICRO_LOSS)
-    return l_c + (l_r_orig + l_r_aug) * 0.5
+    ((l_c, _, _, l_r),) = _stacked_terms([views], params, _MICRO_LOSS)
+    return l_c + l_r
 
 
 def joint_loss_gradient_errors(

@@ -21,6 +21,7 @@ MODES = ("cogent", "contrastive_only", "generative_only")
 RECON_TARGETS = ("visible", "masked")
 RECON_VIEWS = ("both", "orig")
 LAMBDA_POLICIES = ("auto", "fixed")
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -54,6 +55,14 @@ class LossConfig:
             )
         if self.lambda_c < 0 or self.lambda_r < 0:
             raise ConfigError("loss weights must be nonnegative")
+        for key in ("lambda_c", "lambda_r"):
+            # a weight scales a float32 loss tensor, so it must be one
+            value = getattr(self, key)
+            if value > _FLOAT32_MAX:
+                raise ConfigError(
+                    f"{key} must be at most {_FLOAT32_MAX:.8g} (the float32 range), "
+                    f"got {value}"
+                )
         # the inactive branch of a single-objective mode carries no weight
         if self.mode == "contrastive_only":
             self.lambda_r = 0.0

@@ -52,6 +52,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
+        if self.init_seed < 0:
+            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
         if self.proj_dim < 2:
             raise ConfigError(f"proj_dim must be >= 2, got {self.proj_dim}")
         if not 0.0 < self.classifier_hidden_ratio <= 1.0:
@@ -102,21 +104,51 @@ def sinusoid_table(n_pos: int, d_model: int, dtype=np.float32) -> np.ndarray:
     return table.astype(dtype)
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:
+# Values per init draw block: a block's float64 draw and its range test stay
+# in cache, and each block is rounded straight to the storage dtype.
+_INIT_BLOCK = 1 << 15
+
+
+def _trunc_normal(
+    rng: np.random.Generator, shape, std: float, dtype, keep: bool = True
+) -> np.ndarray | None:
     """N(0, std^2) truncated at +-2 std via resampling.
 
-    Each round redraws the out-of-range entries in ascending order and
-    re-tests only those, so it consumes the stream as a loop that re-tests
-    the whole array would.
+    The values are drawn in blocks of `_INIT_BLOCK`, each rounded straight to
+    `dtype`, and tested against the range in float64. Each round then
+    redraws the out-of-range entries in ascending order and re-tests only
+    those, so it consumes the stream as a loop that draws the whole array in
+    float64 and re-tests all of it would. With keep=False nothing is stored
+    and None is returned: only the out-of-range count is kept, which
+    advances the stream exactly as a kept draw would.
     """
-    out = rng.normal(0.0, std, size=shape)
-    flat = out.reshape(-1)
-    bad = np.flatnonzero(np.abs(flat) > 2.0 * std)
+    size = math.prod(shape)
+    limit = 2.0 * std
+    out = np.empty(size, dtype) if keep else None
+    block = np.empty(min(size, _INIT_BLOCK))
+    over = np.empty(block.size, bool)
+    bad = []
+    for lo in range(0, size, _INIT_BLOCK):
+        part = block[: size - lo]
+        rng.standard_normal(out=part)
+        part *= std
+        part += 0.0  # rng.normal's loc + scale * z, down to the sign of zero
+        if keep:
+            out[lo : lo + part.size] = part
+        hits = np.greater(np.abs(part, out=part), limit, out=over[: part.size])
+        bad.append(np.flatnonzero(hits) + lo if keep else np.count_nonzero(hits))
+    if not keep:
+        count = int(sum(bad))
+        while count:
+            redraw = rng.normal(0.0, std, size=count)
+            count = int(np.count_nonzero(np.abs(redraw) > limit))
+        return None
+    bad = np.concatenate(bad)
     while bad.size:
         redraw = rng.normal(0.0, std, size=bad.size)
-        flat[bad] = redraw
-        bad = bad[np.abs(redraw) > 2.0 * std]
-    return out.astype(dtype)
+        out[bad] = redraw
+        bad = bad[np.abs(redraw) > limit]
+    return out.reshape(shape)
 
 
 def classifier_hidden_width(cfg: ModelConfig, n_patches: int) -> int:
@@ -137,7 +169,7 @@ def init_params(
     reconstructs, the mask token for the masked target, the projection head
     when it is contrastive. Without (fine-tuning): the classifier. Every
     module is drawn from one stream in a fixed order and the unused ones are
-    dropped, so a kept tensor starts the same whichever stage builds it.
+    not stored, so a kept tensor starts the same whichever stage builds it.
 
     Affine weights are truncated-normal (std 0.02), biases zero, layer-norm
     gain 1 / bias 0, cls and mask tokens normal (std 0.02). `proj_tokens`
@@ -162,12 +194,16 @@ def init_params(
     rng = np.random.default_rng(cfg.init_seed)
     tensors: dict[str, Tensor] = {}
 
+    def kept(name: str) -> bool:
+        return name.split(".", 1)[0] in modules
+
     def keep(name: str, data: np.ndarray) -> None:
-        if name.split(".", 1)[0] in modules:
+        if kept(name):
             tensors[name] = Tensor(data, requires_grad=True)
 
     def affine(name: str, n_in: int, n_out: int) -> None:
-        keep(f"{name}.w", _trunc_normal(rng, (n_in, n_out), 0.02, dtype))
+        w = _trunc_normal(rng, (n_in, n_out), 0.02, dtype, keep=kept(name))
+        keep(f"{name}.w", w)
         keep(f"{name}.b", np.zeros(n_out, dtype=dtype))
 
     def norm(name: str) -> None:

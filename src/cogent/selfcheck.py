@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import losses
+from . import losses, trainer
 from .augment import AugmentConfig, jitter, make_view, time_mask
 from .data import DatasetMeta, SplitPlan, TimeSeriesSample, gen_synthetic
 from .losses import (
@@ -28,7 +28,15 @@ from .losses import (
     patch_reconstruction_term,
 )
 from .metrics import auprc_binary, auroc_binary, macro_prf, silhouette_score
-from .model import ModelConfig, decode, encode, init_params, project_head
+from .model import (
+    _INIT_BLOCK,
+    ModelConfig,
+    _trunc_normal,
+    decode,
+    encode,
+    init_params,
+    project_head,
+)
 from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, batch_patchify_mask, sample_mask
 from .tensor import (
@@ -42,6 +50,7 @@ from .tensor import (
     log,
     logsumexp,
     matmul,
+    no_grad,
     reshape,
     softmax,
     sqrt,
@@ -444,7 +453,44 @@ def _augment_oracles():
     assert int(np.sum(np.all(masked == 0.0, axis=1))) == 640
 
 
+def _whole_array_trunc_normal(rng, shape, std: float, dtype):
+    """Truncated normal drawn as one float64 array whose every entry is
+    re-tested each round, then rounded; also returns the redraw rounds."""
+    out = rng.normal(0.0, std, size=shape)
+    bad = np.abs(out) > 2.0 * std
+    rounds = 0
+    while bad.any():
+        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(out) > 2.0 * std
+        rounds += 1
+    return out.astype(dtype), rounds
+
+
 def _init_oracle():
+    # The blocked draw against the whole-array reference, tensor after tensor
+    # on one stream: the values, and the generator state after each tensor.
+    # At seed 0 the first shape needs four redraw rounds; the second, not
+    # kept, stands for a module the stage drops; both span several blocks.
+    shapes = (
+        ((300, 200), True), ((700, 100), False), ((8,), True), ((999, 41), True)
+    )
+    assert max(math.prod(shape) for shape, _ in shapes) > _INIT_BLOCK
+    for dtype in (np.float32, np.float64):
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
+        for i, (shape, keep) in enumerate(shapes):
+            got = _trunc_normal(rng, shape, 0.02, dtype, keep=keep)
+            expect, rounds = _whole_array_trunc_normal(ref, shape, 0.02, dtype)
+            case = f"{shape} ({np.dtype(dtype).name})"
+            assert i > 0 or rounds >= 3, f"{case} needs only {rounds} redraw rounds"
+            if keep:
+                assert got.dtype == dtype and np.array_equal(got, expect), (
+                    f"{case}: blocked init values differ from the whole-array draw"
+                )
+            else:
+                assert got is None, f"{case}: a dropped tensor was stored"
+            assert rng.bit_generator.state == ref.bit_generator.state, (
+                f"{case}: blocked init consumed the stream differently"
+            )
     meta = DatasetMeta(T=1280, D=1, num_classes=3, name="bench1280")
     a = init_params(ModelConfig(init_seed=5), PatchConfig(L=64, theta=0.75), meta)
     b = init_params(ModelConfig(init_seed=5), PatchConfig(L=64, theta=0.75), meta)
@@ -526,16 +572,53 @@ def _per_view_loss_parts(values, params, settings: RunSettings, rngs):
     return l_c, l_r_orig, l_r_aug, l_r
 
 
+def _per_batch_sanity_loss(sanity, params, settings: RunSettings, lambdas):
+    """The sanity loss as one per-view pass per batch: the mean joint loss of
+    the full, unshuffled batches, each on its own (seed, tag, batch) streams."""
+    seed, bs = settings.train.seed, settings.train.batch_size
+    tags = (trainer._SAN_AUG, trainer._SAN_MASK_ORIG, trainer._SAN_MASK_AUG)
+    totals = []
+    with no_grad():
+        for bi in range(len(sanity) // bs):
+            values = np.stack([s.values for s in sanity[bi * bs : (bi + 1) * bs]])
+            rngs = tuple(np.random.default_rng([seed, tag, bi]) for tag in tags)
+            parts = _per_view_loss_parts(values, params, settings, rngs)
+            total, _ = joint_loss(settings.loss, *lambdas, *parts)
+            totals.append(total.item())
+    return sum(totals) / len(totals)
+
+
+def _sanity_stacks(sanity, params, settings: RunSettings, lambdas, budget: int):
+    """`trainer._sanity_loss` under a token-row budget; also returns how many
+    batches each stacked forward held."""
+    stacked_terms, saved = trainer._stacked_terms, trainer._STACK_ROWS
+    sizes = []
+
+    def counted(batches, *args):
+        sizes.append(len(batches))
+        return stacked_terms(batches, *args)
+
+    trainer._stacked_terms, trainer._STACK_ROWS = counted, budget
+    try:
+        return trainer._sanity_loss(sanity, params, settings, lambdas), sizes
+    finally:
+        trainer._stacked_terms, trainer._STACK_ROWS = stacked_terms, saved
+
+
 def _stacked_views_oracle():
     """The stacked pass gives the per-view loss values bit for bit.
 
     Its gradients sum both views' rows in one reduction instead of adding
     two, so they agree to rtol 1e-5 of each tensor's largest entry, not in
     every bit. `attn.wk.b`, whose exact gradient is zero, holds noise below
-    1e-6 of the largest gradient in both passes.
+    1e-6 of the largest gradient in both passes. The sanity pass, which
+    stacks every view of several batches, must give the mean of per-batch,
+    per-view joint losses bit for bit: in one stack, and split into stacks
+    by a small row budget.
 
     The loss values are compared as exact float bits, which relies on the
-    BLAS giving each GEMM row the same bits whatever the row count. This
+    BLAS giving each GEMM row the same bits whatever the row count; a
+    sanity stack runs GEMMs of up to `trainer._STACK_ROWS` token rows. This
     held with numpy 2.4.6 on its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH) on
     an x86_64 Xeon with AVX-512, with 1 and 2 BLAS threads. OpenBLAS picks
     its kernels for the CPU it runs on, so another CPU or BLAS build may
@@ -555,6 +638,9 @@ def _stacked_views_oracle():
         ({"mode": "cogent", "symmetric_ntxent": True}, False, "time_mask"),
     )
     values = np.random.default_rng(31).normal(size=(4, 32, 1)).astype(np.float32)
+    # three full batches of 4, and 2 samples the pass drops
+    split = np.random.default_rng(32).normal(size=(14, 32, 1)).astype(np.float32)
+    sanity = [TimeSeriesSample(v, 0) for v in split]
     for loss_kwargs, keep_zeroed, kind in cases:
         settings = RunSettings(
             meta=meta,
@@ -564,7 +650,7 @@ def _stacked_views_oracle():
             ),
             loss=LossConfig(**loss_kwargs),
             augment=AugmentConfig(kind=kind, epsilon=0.1, mask_fraction=0.25),
-            train=TrainConfig(),
+            train=TrainConfig(batch_size=4, seed=3),
             split=SplitPlan(),
             keep_zeroed=keep_zeroed,
         )
@@ -613,6 +699,19 @@ def _stacked_views_oracle():
             scale = float(np.abs(g).max())
             assert np.allclose(got_grads[name], g, rtol=1e-5, atol=1e-5 * scale), (
                 f"{case}: gradient of {name} differs beyond rtol 1e-5"
+            )
+        lambdas = (1.0, 0.5)
+        expect = _per_batch_sanity_loss(sanity, params, settings, lambdas)
+        views = 2 if settings.loss.needs_aug_view else 1
+        batch_rows = views * 4 * (patch.n_patches(meta.T) + 1)
+        for budget, sizes in ((trainer._STACK_ROWS, [3]), (2 * batch_rows, [2, 1])):
+            got, got_sizes = _sanity_stacks(sanity, params, settings, lambdas, budget)
+            assert got_sizes == sizes, (
+                f"{case}: {budget}-row budget stacked {got_sizes} batches, not {sizes}"
+            )
+            assert got == expect, (
+                f"{case}: sanity loss {got!r} in stacks of {sizes} batches differs "
+                f"from the per-batch mean {expect!r}"
             )
 
 

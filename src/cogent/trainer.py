@@ -7,10 +7,12 @@ the model-selection signal is comparable between epochs.
 
 Pretraining masks the original and the augmented view from separate rng
 streams, then runs both through the encoder, projection head and decoder as
-one stacked batch of 2B samples and splits the results per view. Those
-stages act per sample, so each view's loss terms carry the bits of a
-per-view pass; the parameter gradients sum both views' rows in one
-reduction.
+one stacked batch of 2B samples and splits the results per view. The
+forward-only sanity pass stacks further: every view of every sanity batch
+goes through the model at once, up to a fixed budget of token rows, and the
+results are split per batch and per view. Those stages act per sample, so
+each view's loss terms carry the bits of a per-view, per-batch pass; the
+parameter gradients of a step sum both views' rows in one reduction.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -167,38 +170,50 @@ def _patchify_view(values, settings: RunSettings, rng_mask):
     return tokens, idx, masks, full
 
 
-def _stacked_terms(views, params, cfg: LossConfig, keep_zeroed: bool = False):
-    """Loss terms of one or two views, run through the model as one batch.
+def _stacked_terms(batches, params, cfg: LossConfig, keep_zeroed: bool = False):
+    """Loss terms of one or more batches, run through the model as one stack.
 
-    `views` holds one `_patchify_view` tuple of B rows per view, original
-    first. The views are stacked along the batch axis, and `encode`,
-    `project_head` and `decode` each run once on the stack. They act per
-    sample, so every forward value equals that of a per-view pass. Returns
-    l_c (None unless the mode is contrastive) and one reconstruction term
-    per scored view (none unless the mode reconstructs).
+    Each batch holds one `_patchify_view` tuple per view, original first; a
+    training step passes one batch, the sanity pass up to `_STACK_ROWS`
+    token rows of them. Every view of every batch is stacked along the batch
+    axis, all originals first, and `encode`, `project_head` and `decode`
+    each run once on the stack. They act per sample, so every forward value
+    equals that of a per-view, per-batch pass. Returns, per batch, the loss
+    Tensors (l_c, l_r_orig, l_r_aug, l_r): l_c is None unless the mode is
+    contrastive, the l_r terms None unless it reconstructs, and l_r_aug None
+    unless it scores the augmented view; l_r is the mean of the scored views.
     """
-    b = views[0][0].shape[0]
+    n_batches, n_views = len(batches), len(batches[0])
+    views = [batch[k] for k in range(n_views) for batch in batches]
+    bounds = [0, *accumulate(view[0].shape[0] for view in views)]
     tokens, idx, masks = (
         np.concatenate([view[k] for view in views]) for k in range(3)
     )
     z = encode(tokens, idx, params)
-    l_c = None
+    l_cs = [None] * n_batches
     if cfg.needs_contrastive:
         h = project_head(z, params)
-        l_c = contrastive_loss(
-            h[:b], h[b:], cfg.tau, symmetric=cfg.symmetric_ntxent
-        )
+        l_cs = [
+            contrastive_loss(
+                h[bounds[i] : bounds[i + 1]],
+                h[bounds[n_batches + i] : bounds[n_batches + i + 1]],
+                cfg.tau,
+                symmetric=cfg.symmetric_ntxent,
+            )
+            for i in range(n_batches)
+        ]
     if not cfg.needs_reconstruction:
-        return l_c, []
-    if not cfg.needs_aug_reconstruction and len(views) > 1:
-        views, z, idx, masks = views[:1], z[:b], idx[:b], masks[:b]
+        return [(l_c, None, None, None) for l_c in l_cs]
+    if not cfg.needs_aug_reconstruction and n_views > 1:
+        end = bounds[n_batches]
+        views, z, idx, masks = views[:n_batches], z[:end], idx[:end], masks[:end]
     masked = cfg.reconstruct_target == "masked"
     p_hat = decode(z, idx, params, masks=masks if masked else None)
     n = masks.shape[1]
     visible = int(masks[0].sum())  # exact-count masks: the same in every row
     terms = []
     for i, (view_tokens, _, view_masks, full) in enumerate(views):
-        part = p_hat if len(views) == 1 else p_hat[i * b : (i + 1) * b]
+        part = p_hat if len(views) == 1 else p_hat[bounds[i] : bounds[i + 1]]
         if masked:
             # standard masked-autoencoder target: the decoder filled the
             # holes with the mask token; score only the hidden patches
@@ -208,26 +223,33 @@ def _stacked_terms(views, params, cfg: LossConfig, keep_zeroed: bool = False):
         else:
             term = patch_reconstruction_term(part, Tensor(view_tokens))
         terms.append(term)
-    return l_c, terms
+    parts = []
+    for i, l_c in enumerate(l_cs):
+        l_r_orig, *aug = terms[i::n_batches]
+        l_r_aug = aug[0] if aug else None
+        l_r = l_r_orig if l_r_aug is None else (l_r_orig + l_r_aug) * 0.5
+        parts.append((l_c, l_r_orig, l_r_aug, l_r))
+    return parts
+
+
+def _views(values, settings: RunSettings, rngs):
+    """The `_patchify_view` tuples of the views the mode needs of one batch;
+    each view is masked from its own rng stream."""
+    rng_aug, rng_mask_o, rng_mask_a = rngs
+    views = [_patchify_view(values, settings, rng_mask_o)]
+    if settings.loss.needs_aug_view:
+        augmented = make_views_batch(values, settings.augment, rng_aug)
+        views.append(_patchify_view(augmented, settings, rng_mask_a))
+    return views
 
 
 def _loss_parts(values, params, settings: RunSettings, rngs):
     """Forward the views the mode needs as one stacked batch; return loss
     Tensors. Each view is masked from its own rng stream."""
-    cfg = settings.loss
-    rng_aug, rng_mask_o, rng_mask_a = rngs
-    views = [_patchify_view(values, settings, rng_mask_o)]
-    if cfg.needs_aug_view:
-        augmented = make_views_batch(values, settings.augment, rng_aug)
-        views.append(_patchify_view(augmented, settings, rng_mask_a))
-    l_c, terms = _stacked_terms(views, params, cfg, settings.keep_zeroed)
-    l_r_orig = l_r_aug = l_r = None
-    if terms:
-        l_r_orig = l_r = terms[0]
-        if len(terms) > 1:
-            l_r_aug = terms[1]
-            l_r = (l_r_orig + l_r_aug) * 0.5
-    return l_c, l_r_orig, l_r_aug, l_r
+    (parts,) = _stacked_terms(
+        [_views(values, settings, rngs)], params, settings.loss, settings.keep_zeroed
+    )
+    return parts
 
 
 def _snapshot(
@@ -249,31 +271,47 @@ def _snapshot(
     )
 
 
+# Token rows per stacked sanity forward, counted at N + 1 per sample: the
+# most any stage of the stack runs (the masked-target decoder). A larger
+# sanity split runs as several stacks, so its activations stay bounded; the
+# benchmarked splits (9 quickstart batches: 2,016 rows; 4 paper-scale
+# batches: 2,688) each run as one stack.
+_STACK_ROWS = 1 << 12
+
+
 def _sanity_loss(
     sanity, params, settings: RunSettings, lambdas
 ) -> float | None:
+    """Mean joint loss over the sanity split's full batches.
+
+    Each batch is augmented and masked from its own (seed, tag, batch)
+    streams, the same in every epoch. The batches run through the model in
+    stacks of up to `_STACK_ROWS` token rows; `joint_loss` then scores each
+    batch in batch order.
+    """
     if len(sanity) < 2:
         return None
     seed = settings.train.seed
     bs = min(settings.train.batch_size, len(sanity))
-    total = 0.0
-    count = 0
-    with no_grad():
+    tags = (_SAN_AUG, _SAN_MASK_ORIG, _SAN_MASK_AUG)
+    batches = [
+        _views(values, settings, tuple(_rng(seed, tag, bi) for tag in tags))
         for bi, (values, _) in enumerate(
             make_batches(sanity, bs, seed=seed, epoch=0, drop_last=True, shuffle=False)
-        ):
-            rngs = (
-                _rng(seed, _SAN_AUG, bi),
-                _rng(seed, _SAN_MASK_ORIG, bi),
-                _rng(seed, _SAN_MASK_AUG, bi),
-            )
-            l_c, l_r_orig, l_r_aug, l_r = _loss_parts(values, params, settings, rngs)
-            loss, _ = joint_loss(
-                settings.loss, lambdas[0], lambdas[1], l_c, l_r_orig, l_r_aug, l_r
-            )
-            total += loss.item()
-            count += 1
-    return total / count if count else None
+        )
+    ]
+    n_patches = batches[0][0][2].shape[1]  # the masks of the first view
+    per_stack = max(1, _STACK_ROWS // (len(batches[0]) * bs * (n_patches + 1)))
+    total = 0.0
+    with no_grad():
+        for lo in range(0, len(batches), per_stack):
+            stack = batches[lo : lo + per_stack]
+            for parts in _stacked_terms(
+                stack, params, settings.loss, settings.keep_zeroed
+            ):
+                loss, _ = joint_loss(settings.loss, *lambdas, *parts)
+                total += loss.item()
+    return total / len(batches)
 
 
 def pretrain(

@@ -1,5 +1,6 @@
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,29 @@ class TestPretrainCommand:
         assert flag.split(".")[1] in err
         assert not (tmp_path / "best.ckpt").exists()
 
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--model.init_seed", "-1"], "init_seed"),
+            (["--loss.lambda_policy", "fixed", "--loss.lambda_c", "1e308"], "lambda_c"),
+        ],
+    )
+    def test_value_outside_the_model_range_exits_1(
+        self, corpus_dir, tmp_path, capsys, args, key
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path)]
+                + SMALL
+                + args
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and key in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "best.ckpt").exists()
 
     @pytest.mark.parametrize(
         "name, content",

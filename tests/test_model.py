@@ -16,6 +16,7 @@ from cogent.model import (
     sinusoid_table,
 )
 from cogent.patchmask import PatchConfig
+from cogent.selfcheck import _whole_array_trunc_normal
 from cogent.tensor import Tensor
 
 
@@ -45,25 +46,13 @@ LAYOUTS = (
 )
 
 
-def whole_array_trunc_normal(rng, shape, std, dtype):
-    """Redraw loop that re-tests every entry each round; also returns rounds."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2.0 * std
-    rounds = 0
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2.0 * std
-        rounds += 1
-    return out.astype(dtype), rounds
-
-
 class TestInitParams:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_truncated_normal_matches_whole_array_redraw(self, dtype):
         # seed 0 at this size needs four redraw rounds
         shape = (300, 200)
         ref_rng, rng = np.random.default_rng(0), np.random.default_rng(0)
-        expect, rounds = whole_array_trunc_normal(ref_rng, shape, 0.02, dtype)
+        expect, rounds = _whole_array_trunc_normal(ref_rng, shape, 0.02, dtype)
         assert rounds >= 3
         got = _trunc_normal(rng, shape, 0.02, dtype)
         assert got.dtype == dtype and np.array_equal(got, expect)

@@ -120,6 +120,27 @@ class TestPretrain:
         assert a[0]["total"] == b[0]["total"]
         assert a[0]["sanity_total"] == b[0]["sanity_total"]
 
+    def test_sanity_pass_scores_each_batch_once(self, corpus, monkeypatch):
+        # the batches share one forward, but each gets its own joint_loss
+        # call, which is where the benchmark times the pass batch by batch
+        settings = make_settings(seed=0)
+        settings.train.batch_size = 4
+        _, sanity = split_pretrain(corpus.train, settings.split)
+        params = init_params(
+            settings.model, settings.patch, settings.meta, loss=settings.loss
+        )
+        calls = []
+        score = trainer.joint_loss
+
+        def counted(*args):
+            calls.append(args)
+            return score(*args)
+
+        monkeypatch.setattr(trainer, "joint_loss", counted)
+        trainer._sanity_loss(sanity, params, settings, (1.0, 1.0))
+        assert len(sanity) // 4 >= 2
+        assert len(calls) == len(sanity) // 4
+
     def test_batch_size_one_rejected(self, corpus):
         settings = make_settings(seed=0, epochs_pretrain=1)
         settings.train.batch_size = 1
