@@ -12,8 +12,9 @@ the classifier), so the stage is read off the tensor set (`finetuned`).
 Saving writes a temp file beside the target and renames it over the target,
 so a failed write leaves an existing checkpoint untouched. Save -> load ->
 save is byte-identical. Loading raises ConfigError naming the file for an
-older magic, a truncated or corrupt file, or an architecture digest other
-than the one the caller expects.
+older magic or a truncated or corrupt file. It takes no digest from the
+caller: the stored config is the settings that ran, and fine-tuning compares
+its architecture keys with the current run's (`trainer.finetune`).
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
-def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -137,7 +138,7 @@ def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
         mlen = int.from_bytes(head[8:16], "little")
         if len(head) < 16 or 16 + mlen > size:
             raise ConfigError(f"{path}: truncated checkpoint (manifest cut short)")
-        ckpt, entries, stored_digest = _parse_manifest(fh.read(mlen), path)
+        ckpt, entries = _parse_manifest(fh.read(mlen), path)
         body_len = size - 16 - mlen
         expected = 0
         for name, shape, offset in entries:
@@ -153,11 +154,6 @@ def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
                 f"{path}: payload is {body_len} bytes, the manifest's shapes "
                 f"need {expected} (truncated or corrupt file)"
             )
-        if expect_digest is not None and stored_digest != expect_digest:
-            raise ConfigError(
-                f"{path}: checkpoint architecture digest {stored_digest[:12]}... "
-                f"does not match the current configuration ({expect_digest[:12]}...)"
-            )
         # the payload is read once, into the buffer the arrays view
         payload = np.empty(expected // 4, dtype="<f4")
         if fh.readinto(payload) != expected:
@@ -169,7 +165,7 @@ def load_checkpoint(path, expect_digest: str | None = None) -> Checkpoint:
 
 
 def _parse_manifest(blob: bytes, path: Path):
-    """The checkpoint (no arrays yet), its (name, shape, offset) entries and digest."""
+    """The checkpoint (no arrays yet) and its (name, shape, offset) entries."""
     try:
         manifest = json.loads(blob.decode("utf-8"))
         if not isinstance(manifest["config"], dict):
@@ -186,6 +182,6 @@ def _parse_manifest(blob: bytes, path: Path):
             norm_mean=manifest["norm_mean"],
             norm_std=manifest["norm_std"],
         )
-        return ckpt, entries, manifest["config_digest"]
+        return ckpt, entries
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"{path}: invalid checkpoint manifest ({e!r})") from None

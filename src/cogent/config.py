@@ -1,9 +1,11 @@
 """Run configuration: key schema, file/override resolution, validation.
 
-Keys are dotted paths, derived from the fields of each stage's config
-dataclass, which hold the defaults. Precedence, lowest first: built-in
-defaults, the COGENT_SEED environment variable (seed only), the config file,
-command-line overrides. Validation collects every bad key before failing.
+Keys are the fields of the stage config dataclasses that one table,
+`trainer._SECTIONS`, lists; `settings_from_config` builds the stage configs
+from them and `trainer.run_config` maps them back. Precedence, lowest
+first: built-in defaults, the COGENT_SEED environment variable (seed only),
+the config file, command-line overrides. Validation collects every bad key
+before failing.
 """
 
 from __future__ import annotations
@@ -14,32 +16,19 @@ import os
 from dataclasses import fields
 from pathlib import Path
 
-from .augment import AugmentConfig
-from .data import DatasetMeta, SplitPlan
+from .data import DatasetMeta
 from .errors import ConfigError
-from .losses import LossConfig
-from .model import ModelConfig
-from .patchmask import PatchConfig
-from .trainer import RunSettings, TrainConfig
+from .trainer import _SECTIONS, RunSettings
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
-
-# Each stage config's fields are the keys of its section, in this order.
-_SECTIONS = (
-    ("augment", AugmentConfig),
-    ("patch", PatchConfig),
-    ("model", ModelConfig),
-    ("loss", LossConfig),
-    ("train", TrainConfig),
-    ("split", SplitPlan),
-)
 
 # key -> (kind, default). Each stage-config field is the key
 # "<section>.<field>" with its annotation and default, except a `seed` field,
 # which takes the run-wide `seed`. Only `seed`, `mask.keep_zeroed` and
 # `model.init_seed` are written here: "optional_int" admits null, and a null
-# model.init_seed means the run seed.
+# model.init_seed means the run seed. `mask.keep_zeroed` is
+# `RunSettings.keep_zeroed`, under its old name so saved configs still load.
 SCHEMA: dict[str, tuple[str, object]] = {
     "seed": ("int", 0),
     **{
@@ -68,55 +57,48 @@ def _flatten(doc: dict, prefix: str = "") -> dict:
     return flat
 
 
-def _finite(key: str, number: float, errors: list[str]):
-    if math.isfinite(number):
-        return number
-    errors.append(f"{key}: expected a finite float, got {number}")
-    return None
+def _parse(kind: str, text: str):
+    """The value a stripped string spells as `kind`; ValueError if none."""
+    if kind == "optional_int" and text.lower() in ("null", "none"):
+        return None
+    if kind in ("int", "optional_int"):
+        return int(text)
+    if kind == "float":
+        return float(text)
+    if kind == "bool":
+        low = text.lower()
+        if low in _BOOL_TRUE:
+            return True
+        if low in _BOOL_FALSE:
+            return False
+        raise ValueError(text)
+    return text
 
 
 def _coerce(key: str, value, errors: list[str]):
+    """`value` as the kind of `key`: a string is parsed first, then every
+    value gets the same type check. Appends a message and returns None for
+    a bad value."""
     kind, _ = SCHEMA[key]
-    if value is None and kind == "optional_int":
-        return None
     if isinstance(value, str):
-        text = value.strip()
         try:
-            if kind in ("int", "optional_int"):
-                if kind == "optional_int" and text.lower() in ("null", "none"):
-                    return None
-                return int(text)
-            if kind == "float":
-                return _finite(key, float(text), errors)
-            if kind == "bool":
-                low = text.lower()
-                if low in _BOOL_TRUE:
-                    return True
-                if low in _BOOL_FALSE:
-                    return False
-                raise ValueError(text)
-            return text
+            value = _parse(kind, value.strip())
         except ValueError:
             errors.append(f"{key}: cannot parse {value!r} as {kind}")
             return None
-    if kind in ("int", "optional_int"):
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{key}: expected int, got {type(value).__name__}")
-            return None
-        return value
-    if kind == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{key}: expected float, got {type(value).__name__}")
-            return None
-        return _finite(key, float(value), errors)
-    if kind == "bool":
-        if not isinstance(value, bool):
-            errors.append(f"{key}: expected bool, got {type(value).__name__}")
-            return None
-        return value
-    if not isinstance(value, str):
-        errors.append(f"{key}: expected string, got {type(value).__name__}")
+    if value is None and kind == "optional_int":
         return None
+    types = {"float": (int, float), "bool": bool, "str": str}.get(kind, int)
+    # bool is an int subclass, so only a bool key takes one
+    if isinstance(value, bool) != (kind == "bool") or not isinstance(value, types):
+        name = {"optional_int": "int", "str": "string"}.get(kind, kind)
+        errors.append(f"{key}: expected {name}, got {type(value).__name__}")
+        return None
+    if kind == "float":
+        value = float(value)
+        if not math.isfinite(value):
+            errors.append(f"{key}: expected a finite float, got {value}")
+            return None
     return value
 
 
@@ -134,6 +116,7 @@ def resolve_config(
             cfg["seed"] = int(env["COGENT_SEED"])
         except ValueError:
             errors.append(f"COGENT_SEED: cannot parse {env['COGENT_SEED']!r} as int")
+    entries = list((overrides or {}).items())
     if config_file is not None:
         path = Path(config_file)
         if not path.is_file():
@@ -149,14 +132,8 @@ def resolve_config(
             ) from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")
-        for key, value in _flatten(doc).items():
-            if key not in SCHEMA:
-                errors.append(f"unknown config key {key!r}")
-                continue
-            coerced = _coerce(key, value, errors)
-            if coerced is not None or SCHEMA[key][0] == "optional_int":
-                cfg[key] = coerced
-    for key, value in (overrides or {}).items():
+        entries = [*_flatten(doc).items(), *entries]
+    for key, value in entries:
         if key not in SCHEMA:
             errors.append(f"unknown config key {key!r}")
             continue
@@ -189,16 +166,7 @@ def settings_from_config(cfg: dict, meta: DatasetMeta) -> RunSettings:
         errors.append(f"patch.L {built['patch'].L} exceeds sequence length {meta.T}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    config_dict = dict(cfg)
-    config_dict["data.T"] = meta.T
-    config_dict["data.D"] = meta.D
-    config_dict["data.num_classes"] = meta.num_classes
-    return RunSettings(
-        meta=meta,
-        **built,
-        keep_zeroed=cfg["mask.keep_zeroed"],
-        config_dict=config_dict,
-    )
+    return RunSettings(**built, keep_zeroed=cfg["mask.keep_zeroed"])
 
 
 def write_resolved(cfg: dict, out_dir) -> None:

@@ -38,8 +38,10 @@ class LossConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown loss mode {self.mode!r}; use {MODES}")
-        if self.tau <= 0:
-            raise ConfigError(f"temperature must be positive, got {self.tau}")
+        # the logits are float32, so a tau that rounds to 0 there is not
+        # positive (min() keeps a large value's cast finite)
+        if not np.float32(min(self.tau, 1.0)) > 0:
+            raise ConfigError(f"temperature tau must be positive, got {self.tau}")
         if self.lambda_policy not in LAMBDA_POLICIES:
             raise ConfigError(
                 f"unknown lambda policy {self.lambda_policy!r}; use {LAMBDA_POLICIES}"

@@ -72,7 +72,7 @@ class ModelParams:
     n_blocks: int
     in_dim: int  # L * D
     n_patches: int
-    num_classes: int
+    meta: DatasetMeta  # the data shape the parameters are built for
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -241,7 +241,7 @@ def init_params(
         n_blocks=cfg.n_blocks,
         in_dim=in_dim,
         n_patches=n_patches,
-        num_classes=meta.num_classes,
+        meta=meta,
     )
 
 

@@ -643,7 +643,6 @@ def _stacked_views_oracle():
     sanity = [TimeSeriesSample(v, 0) for v in split]
     for loss_kwargs, keep_zeroed, kind in cases:
         settings = RunSettings(
-            meta=meta,
             patch=patch,
             model=ModelConfig(
                 d_model=16, n_blocks=2, n_heads=2, mlp_ratio=2, proj_dim=8
@@ -729,7 +728,6 @@ def _convergence_run():
     with tempfile.TemporaryDirectory() as tmp:
         corpus = gen_synthetic(tmp, meta, per_class=50, seed=0, sigma=0.1)
     settings = RunSettings(
-        meta=meta,
         patch=PatchConfig(L=16, theta=0.75),
         model=ModelConfig(
             d_model=64, n_blocks=2, n_heads=4, mlp_ratio=4, proj_dim=32, init_seed=0
@@ -738,17 +736,6 @@ def _convergence_run():
         augment=AugmentConfig(kind="jitter", epsilon=0.1),
         train=TrainConfig(epochs_pretrain=15, epochs_finetune=5, batch_size=16, seed=0),
         split=SplitPlan(seed=0),
-        config_dict={
-            "data.T": 96,
-            "data.D": 1,
-            "data.num_classes": 3,
-            "patch.L": 16,
-            "model.d_model": 64,
-            "model.n_blocks": 2,
-            "model.n_heads": 4,
-            "model.mlp_ratio": 4,
-            "model.classifier_hidden_ratio": 0.1,
-        },
     )
     _, log = pretrain(corpus, settings)
     assert log[-1]["total"] < 0.5 * log[0]["total"], (

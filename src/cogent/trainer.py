@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
 from .augment import AugmentConfig, make_views_batch
-from .checkpoint import Checkpoint, arch_digest, save_checkpoint
+from .checkpoint import ARCH_KEYS, Checkpoint, save_checkpoint
 from .data import (
     Corpus,
     DatasetMeta,
@@ -104,7 +104,9 @@ class TrainConfig:
             "eval_every": self.eval_every,
         }
         for key, value in positive.items():
-            if value <= 0:
+            # the floats scale float32 arrays, so a float that rounds to 0
+            # there is not positive (min() keeps a large value's cast finite)
+            if not np.float32(min(value, 1.0)) > 0:
                 raise ConfigError(f"{key} must be positive, got {value}")
         for key, value in {"beta1": self.beta1, "beta2": self.beta2}.items():
             if not 0.0 <= value < 1.0:
@@ -117,7 +119,10 @@ class TrainConfig:
 
 @dataclass
 class RunSettings:
-    meta: DatasetMeta
+    """The stage configs of one run, built from the flat keys by
+    `config.settings_from_config` and mapped back by `run_config`. The data
+    shape is not a setting: it comes from the corpus's `DatasetMeta`."""
+
     patch: PatchConfig
     model: ModelConfig
     loss: LossConfig
@@ -125,13 +130,49 @@ class RunSettings:
     train: TrainConfig
     split: SplitPlan
     keep_zeroed: bool = False
-    config_dict: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.keep_zeroed and self.loss.reconstruct_target == "masked":
             raise ConfigError(
                 "mask.keep_zeroed only supports the visible reconstruction target"
             )
+
+
+# The sections of the flat configuration: each stage config's fields are the
+# keys "<section>.<field>" of its section, in this order, except a `seed`
+# field, which takes the run-wide key `seed`. `config.SCHEMA`,
+# `config.settings_from_config` and `run_config` all read this one table.
+_SECTIONS = (
+    ("augment", AugmentConfig),
+    ("patch", PatchConfig),
+    ("model", ModelConfig),
+    ("loss", LossConfig),
+    ("train", TrainConfig),
+    ("split", SplitPlan),
+)
+
+
+def run_config(settings: RunSettings, meta: DatasetMeta) -> dict:
+    """The flat configuration of the settings that ran, on a corpus of shape
+    `meta`: what a checkpoint stores.
+
+    Its keys are `config.SCHEMA`'s plus `data.T`, `data.D` and
+    `data.num_classes`. Each value is the one the run used, so
+    `model.init_seed` holds the resolved seed and a single-objective loss
+    its forced weights. `seed` is the training seed; settings built from a
+    configuration give every stage that seed.
+    """
+    config = {"seed": settings.train.seed}
+    for section, _ in _SECTIONS:
+        stage = getattr(settings, section)
+        for f in fields(stage):
+            if f.name != "seed":
+                config[f"{section}.{f.name}"] = getattr(stage, f.name)
+    config["mask.keep_zeroed"] = settings.keep_zeroed
+    config["data.T"] = meta.T
+    config["data.D"] = meta.D
+    config["data.num_classes"] = meta.num_classes
+    return config
 
 
 def _rng(*keys: int) -> np.random.Generator:
@@ -261,7 +302,7 @@ def _snapshot(
     norm_std: np.ndarray,
 ) -> Checkpoint:
     return Checkpoint(
-        config=dict(settings.config_dict),
+        config=run_config(settings, params.meta),
         params=params.state_arrays(),
         lambda_c=lambdas[0],
         lambda_r=lambdas[1],
@@ -448,9 +489,12 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
     cfg = ckpt.config
     dm = int(cfg["model.d_model"])
     L = int(cfg["patch.L"])
-    t_len = int(cfg["data.T"])
-    d_chan = int(cfg["data.D"])
-    n_patches = t_len // L
+    meta = DatasetMeta(
+        T=int(cfg["data.T"]),
+        D=int(cfg["data.D"]),
+        num_classes=int(cfg["data.num_classes"]),
+    )
+    n_patches = meta.T // L
     # inference only reads the parameters, so they share the checkpoint's
     # arrays; its forward passes run under no_grad and build no graph
     tensors = {name: Tensor(arr) for name, arr in ckpt.params.items()}
@@ -460,9 +504,9 @@ def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
         d_model=dm,
         n_heads=int(cfg["model.n_heads"]),
         n_blocks=int(cfg["model.n_blocks"]),
-        in_dim=L * d_chan,
+        in_dim=L * meta.D,
         n_patches=n_patches,
-        num_classes=int(cfg["data.num_classes"]),
+        meta=meta,
     )
     return params, PatchConfig(L=L, theta=0.0)
 
@@ -489,7 +533,6 @@ def finetune(
     subset, norm_mean, norm_std = normalize(subset)
     val = apply_normalization(corpus.val, norm_mean, norm_std)
     ft_patch = replace(settings.patch, theta=0.0)
-    ft_settings = replace(settings, patch=ft_patch)
     params = init_params(settings.model, ft_patch, meta)
     if ckpt is not None:
         if ckpt.finetuned:
@@ -497,17 +540,13 @@ def finetune(
                 "checkpoint is already fine-tuned (it carries a classifier); "
                 "fine-tune from a pretraining checkpoint"
             )
-        expect = arch_digest(settings.config_dict)
-        if ckpt.digest != expect:
+        config = run_config(settings, meta)
+        differ = [k for k in ARCH_KEYS if ckpt.config.get(k) != config[k]]
+        if differ:
             raise ConfigError(
                 "checkpoint architecture digest does not match the current "
-                f"configuration ({ckpt.digest[:12]}... vs {expect[:12]}...)"
-            )
-        if int(ckpt.config["data.num_classes"]) != meta.num_classes:
-            raise ConfigError(
-                f"checkpoint was pretrained for "
-                f"{ckpt.config['data.num_classes']} classes, corpus has "
-                f"{meta.num_classes}"
+                "configuration: "
+                + ", ".join(f"{k} {ckpt.config.get(k)} vs {config[k]}" for k in differ)
             )
         encoder = [name for name in params.tensors if not name.startswith("clf.")]
         missing = [name for name in encoder if name not in ckpt.params]
@@ -542,9 +581,7 @@ def finetune(
         if (epoch + 1) % tc.eval_every == 0 or epoch == tc.epochs_finetune - 1:
             report = _evaluate_params(params, ft_patch, val, tc.batch_size)
             if best is None or report.f1 > best[0]:
-                snap = _snapshot(
-                    params, ft_settings, lambdas, epoch, norm_mean, norm_std
-                )
+                snap = _snapshot(params, settings, lambdas, epoch, norm_mean, norm_std)
                 best = (report.f1, snap, report)
     assert best is not None
     _, best_ckpt, best_report = best
@@ -590,7 +627,7 @@ def _evaluate_params(params, patch_cfg, samples, batch_size) -> MetricReport:
     logits, labels, _ = _forward_logits(params, patch_cfg, samples, batch_size)
     scores = _scores_from_logits(logits)
     preds = np.argmax(logits, axis=1)
-    return compute_metrics(labels, preds, scores, params.num_classes)
+    return compute_metrics(labels, preds, scores, params.meta.num_classes)
 
 
 def evaluate(ckpt: Checkpoint, samples, batch_size: int = 64) -> MetricReport:

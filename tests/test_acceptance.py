@@ -68,7 +68,6 @@ def synth_meta():
 def make_settings(seed, label_ratio=0.3, epochs_finetune=10, lr_finetune=5e-4,
                   mode="cogent"):
     return RunSettings(
-        meta=synth_meta(),
         patch=PatchConfig(L=16, theta=0.75),
         model=ModelConfig(
             d_model=64, n_blocks=2, n_heads=4, mlp_ratio=4, proj_dim=32,
@@ -84,17 +83,6 @@ def make_settings(seed, label_ratio=0.3, epochs_finetune=10, lr_finetune=5e-4,
             lr_finetune=lr_finetune,
         ),
         split=SplitPlan(seed=seed, finetune_label_ratio=label_ratio),
-        config_dict={
-            "data.T": 96,
-            "data.D": 1,
-            "data.num_classes": 3,
-            "patch.L": 16,
-            "model.d_model": 64,
-            "model.n_blocks": 2,
-            "model.n_heads": 4,
-            "model.mlp_ratio": 4,
-            "model.classifier_hidden_ratio": 0.1,
-        },
     )
 
 

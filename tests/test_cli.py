@@ -173,6 +173,11 @@ class TestPretrainCommand:
         [
             (["--model.init_seed", "-1"], "init_seed"),
             (["--loss.lambda_policy", "fixed", "--loss.lambda_c", "1e308"], "lambda_c"),
+            # positive, but 0 once rounded to float32
+            (["--loss.tau", "1e-320"], "tau"),
+            (["--train.lr_pretrain", "1e-320"], "lr_pretrain"),
+            (["--train.lr_finetune", "1e-320"], "lr_finetune"),
+            (["--train.adam_eps", "1e-320"], "adam_eps"),
         ],
     )
     def test_value_outside_the_model_range_exits_1(

@@ -10,7 +10,7 @@ from cogent.errors import ConfigError
 from cogent.losses import LossConfig
 from cogent.model import ModelConfig
 from cogent.patchmask import PatchConfig
-from cogent.trainer import TrainConfig
+from cogent.trainer import TrainConfig, run_config
 
 STAGES = {
     "augment": AugmentConfig,
@@ -147,12 +147,6 @@ class TestSettingsFromConfig:
         with pytest.raises(ConfigError, match="patch.L"):
             settings_from_config(cfg, self.meta())
 
-    def test_config_dict_carries_corpus_shape(self):
-        cfg = resolve_config(None, {"patch.L": "16"}, env={})
-        settings = settings_from_config(cfg, self.meta())
-        assert settings.config_dict["data.T"] == 96
-        assert settings.config_dict["data.num_classes"] == 3
-
     def test_multiple_constraint_violations_reported_together(self):
         cfg = resolve_config(
             None,
@@ -163,3 +157,47 @@ class TestSettingsFromConfig:
             settings_from_config(cfg, self.meta())
         msg = str(err.value)
         assert "masking ratio" in msg and "temperature" in msg
+
+
+class TestRunConfig:
+    """`run_config` maps settings back to the flat keys they came from."""
+
+    META = DatasetMeta(T=96, D=2, num_classes=3, name="m")
+    CASES = {
+        "defaults": {},
+        "contrastive_only": {"loss.mode": "contrastive_only", "loss.lambda_r": "4"},
+        "generative_only": {"loss.mode": "generative_only", "loss.lambda_c": "5"},
+        "masked target": {"loss.reconstruct_target": "masked"},
+        "keep_zeroed": {"mask.keep_zeroed": "true"},
+        "fixed weights": {
+            "loss.lambda_policy": "fixed", "loss.lambda_c": "0.5", "loss.lambda_r": "2",
+        },
+        "init seed": {"seed": "11", "model.init_seed": "3"},
+    }
+
+    def derived(self, overrides):
+        cfg = resolve_config(None, {"patch.L": "16", **overrides}, env={})
+        settings = settings_from_config(cfg, self.META)
+        return cfg, settings, run_config(settings, self.META)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_settings_to_config_and_back_is_the_identity(self, case):
+        _, settings, config = self.derived(self.CASES[case])
+        assert settings_from_config(config, self.META) == settings
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_keys_are_the_schema_plus_the_corpus_shape(self, case):
+        _, _, config = self.derived(self.CASES[case])
+        assert set(config) == set(SCHEMA) | {"data.T", "data.D", "data.num_classes"}
+        assert (config["data.T"], config["data.D"], config["data.num_classes"]) == (
+            96, 2, 3
+        )
+
+    def test_config_holds_what_ran(self):
+        # the resolved init seed and a single-objective mode's forced
+        # weight; every other key is the resolved configuration's
+        cfg, _, config = self.derived(self.CASES["generative_only"])
+        changed = {k for k in SCHEMA if config[k] != cfg[k]}
+        assert changed == {"model.init_seed", "loss.lambda_c"}
+        assert config["model.init_seed"] == cfg["seed"] == 0
+        assert config["loss.lambda_c"] == 0.0

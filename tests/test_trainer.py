@@ -24,27 +24,15 @@ from cogent.trainer import (
     run_ablation,
 )
 
-CFG_DICT = {
-    "data.T": 96,
-    "data.D": 1,
-    "data.num_classes": 3,
-    "patch.L": 16,
-    "model.d_model": 32,
-    "model.n_blocks": 2,
-    "model.n_heads": 4,
-    "model.mlp_ratio": 2,
-    "model.classifier_hidden_ratio": 0.1,
-}
+META = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
 
 
 def make_settings(seed=0, mode="cogent", epochs_pretrain=10, epochs_finetune=10,
-                  label_ratio=0.3, **loss_kwargs):
-    meta = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
+                  label_ratio=0.3, d_model=32, **loss_kwargs):
     return RunSettings(
-        meta=meta,
         patch=PatchConfig(L=16, theta=0.75),
         model=ModelConfig(
-            d_model=32, n_blocks=2, n_heads=4, mlp_ratio=2, proj_dim=16,
+            d_model=d_model, n_blocks=2, n_heads=4, mlp_ratio=2, proj_dim=16,
             init_seed=seed,
         ),
         loss=LossConfig(mode=mode, **loss_kwargs),
@@ -56,15 +44,13 @@ def make_settings(seed=0, mode="cogent", epochs_pretrain=10, epochs_finetune=10,
             seed=seed,
         ),
         split=SplitPlan(seed=seed, finetune_label_ratio=label_ratio),
-        config_dict=dict(CFG_DICT),
     )
 
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    meta = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
     return gen_synthetic(
-        tmp_path_factory.mktemp("corpus"), meta, per_class=40, seed=3, sigma=0.1
+        tmp_path_factory.mktemp("corpus"), META, per_class=40, seed=3, sigma=0.1
     )
 
 
@@ -77,9 +63,7 @@ def cogent_ckpt(corpus):
 class TestPretrain:
     def test_loss_halves_on_synthetic_corpus(self, corpus):
         # regression fixture: 3 classes, T=96, L=16, d_model=64, B=16, 30 epochs
-        meta = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
         settings = RunSettings(
-            meta=meta,
             patch=PatchConfig(L=16, theta=0.75),
             model=ModelConfig(
                 d_model=64, n_blocks=2, n_heads=4, mlp_ratio=4, proj_dim=32,
@@ -91,7 +75,6 @@ class TestPretrain:
                 epochs_pretrain=30, epochs_finetune=5, batch_size=16, seed=0
             ),
             split=SplitPlan(seed=0),
-            config_dict=dict(CFG_DICT, **{"model.d_model": 64, "model.mlp_ratio": 4}),
         )
         _, log = pretrain(corpus, settings)
         assert log[-1]["total"] < 0.5 * log[0]["total"]
@@ -127,7 +110,7 @@ class TestPretrain:
         settings.train.batch_size = 4
         _, sanity = split_pretrain(corpus.train, settings.split)
         params = init_params(
-            settings.model, settings.patch, settings.meta, loss=settings.loss
+            settings.model, settings.patch, META, loss=settings.loss
         )
         calls = []
         score = trainer.joint_loss
@@ -170,7 +153,7 @@ class TestLossParts:
     def parts(recon_views):
         settings = make_settings(mode="generative_only", recon_views=recon_views)
         params = init_params(
-            settings.model, settings.patch, settings.meta, loss=settings.loss
+            settings.model, settings.patch, META, loss=settings.loss
         )
         values = np.random.default_rng(0).normal(size=(4, 96, 1)).astype(np.float32)
         rngs = tuple(np.random.default_rng(k) for k in (1, 2, 3))
@@ -238,7 +221,7 @@ class TestForwardOnlyPasses:
         settings = make_settings(seed=0)
         pre, sanity = split_pretrain(corpus.train, settings.split)
         params = init_params(
-            settings.model, settings.patch, settings.meta, loss=settings.loss
+            settings.model, settings.patch, META, loss=settings.loss
         )
         lambdas = (1.0, 1.0)
         assert trainer._sanity_loss(sanity, params, settings, lambdas) is not None
@@ -273,10 +256,34 @@ class TestFinetune:
 
     def test_digest_mismatch_refused(self, corpus, cogent_ckpt):
         ckpt, _ = cogent_ckpt
-        settings = make_settings(seed=0)
-        settings.config_dict["model.d_model"] = 64
-        with pytest.raises(ConfigError, match="digest"):
+        settings = make_settings(seed=0, d_model=64)
+        with pytest.raises(ConfigError, match="digest") as err:
             finetune(ckpt, corpus, settings)
+        assert "model.d_model 32 vs 64" in str(err.value)
+
+    def test_class_count_mismatch_names_the_key(self, cogent_ckpt, tmp_path):
+        # pretrained on 3 classes, fine-tuned on 4: the refusal says which
+        # architecture key differs, with both values
+        ckpt, _ = cogent_ckpt
+        four = gen_synthetic(
+            tmp_path, DatasetMeta(T=96, D=1, num_classes=4, name="four"),
+            per_class=8, seed=3, sigma=0.1,
+        )
+        with pytest.raises(ConfigError, match="digest") as err:
+            finetune(ckpt, four, make_settings(seed=0))
+        assert str(err.value).endswith("configuration: data.num_classes 3 vs 4")
+
+    def test_hand_built_settings_run_every_stage(self, corpus):
+        # settings built without a configuration: each checkpoint stores
+        # the flat keys of the settings that ran, so every later stage reads
+        # what it needs from it
+        settings = make_settings(seed=4, epochs_pretrain=1, epochs_finetune=1)
+        pre, _ = pretrain(corpus, settings)
+        assert pre.config == trainer.run_config(settings, META)
+        tuned, _ = finetune(pre, corpus, settings)
+        assert tuned.config == pre.config
+        report = evaluate(tuned, corpus.test)
+        assert 0.0 <= report.f1 <= 1.0
 
     def test_checkpoints_hold_only_their_stage_tensors(self, corpus):
         # pretraining stores no classifier; fine-tuning stores no decoder,
