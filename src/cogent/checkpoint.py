@@ -12,9 +12,10 @@ the classifier), so the stage is read off the tensor set (`finetuned`).
 Saving writes a temp file beside the target and renames it over the target,
 so a failed write leaves an existing checkpoint untouched. Save -> load ->
 save is byte-identical. Loading raises ConfigError naming the file for an
-older magic or a truncated or corrupt file. It takes no digest from the
-caller: the stored config is the settings that ran, and fine-tuning compares
-its architecture keys with the current run's (`trainer.finetune`).
+older magic, a truncated or corrupt file, or a stored `config_digest` that is
+not the digest of the stored config's architecture keys. It takes no digest
+from the caller: the stored config is the settings that ran, and fine-tuning
+compares its architecture keys with the current run's (`trainer.finetune`).
 """
 
 from __future__ import annotations
@@ -182,6 +183,12 @@ def _parse_manifest(blob: bytes, path: Path):
             norm_mean=manifest["norm_mean"],
             norm_std=manifest["norm_std"],
         )
-        return ckpt, entries
+        stored = manifest["config_digest"]
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"{path}: invalid checkpoint manifest ({e!r})") from None
+    if stored != ckpt.digest:
+        raise ConfigError(
+            f"{path}: the stored config_digest does not match the digest of "
+            "the stored config (edited or corrupt manifest)"
+        )
+    return ckpt, entries

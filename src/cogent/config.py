@@ -95,7 +95,13 @@ def _coerce(key: str, value, errors: list[str]):
         errors.append(f"{key}: expected {name}, got {type(value).__name__}")
         return None
     if kind == "float":
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            errors.append(
+                f"{key}: expected a finite float, got an integer beyond its range"
+            )
+            return None
         if not math.isfinite(value):
             errors.append(f"{key}: expected a finite float, got {value}")
             return None
@@ -124,12 +130,12 @@ def resolve_config(
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{path}: invalid JSON ({e})") from None
         except UnicodeDecodeError as e:
             raise ConfigError(
                 f"{path}: not UTF-8 text (byte {e.start}: {e.object[e.start]:#04x})"
             ) from None
+        except ValueError as e:  # bad syntax, or an integer past int()'s digit limit
+            raise ConfigError(f"{path}: invalid JSON ({e})") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")
         entries = [*_flatten(doc).items(), *entries]

@@ -614,7 +614,8 @@ def _stacked_views_oracle():
     1e-6 of the largest gradient in both passes. The sanity pass, which
     stacks every view of several batches, must give the mean of per-batch,
     per-view joint losses bit for bit: in one stack, and split into stacks
-    by a small row budget.
+    by a small row budget, both from one set of views built beforehand; the
+    per-batch reference rebuilds its views from the streams.
 
     The loss values are compared as exact float bits, which relies on the
     BLAS giving each GEMM row the same bits whatever the row count; a
@@ -650,7 +651,7 @@ def _stacked_views_oracle():
             loss=LossConfig(**loss_kwargs),
             augment=AugmentConfig(kind=kind, epsilon=0.1, mask_fraction=0.25),
             train=TrainConfig(batch_size=4, seed=3),
-            split=SplitPlan(),
+            split=SplitPlan(seed=3),
             keep_zeroed=keep_zeroed,
         )
         params = init_params(
@@ -701,10 +702,11 @@ def _stacked_views_oracle():
             )
         lambdas = (1.0, 0.5)
         expect = _per_batch_sanity_loss(sanity, params, settings, lambdas)
+        built = trainer._sanity_set(sanity, settings)  # scored under both budgets
         views = 2 if settings.loss.needs_aug_view else 1
         batch_rows = views * 4 * (patch.n_patches(meta.T) + 1)
         for budget, sizes in ((trainer._STACK_ROWS, [3]), (2 * batch_rows, [2, 1])):
-            got, got_sizes = _sanity_stacks(sanity, params, settings, lambdas, budget)
+            got, got_sizes = _sanity_stacks(built, params, settings, lambdas, budget)
             assert got_sizes == sizes, (
                 f"{case}: {budget}-row budget stacked {got_sizes} batches, not {sizes}"
             )

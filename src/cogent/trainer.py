@@ -2,8 +2,9 @@
 
 Every source of randomness is a numpy Generator derived from (seed, stage
 tag, epoch, batch) integers, so a (seed, config, corpus) triple maps to a
-bit-exact run. Sanity-split losses reuse fixed masks/views across epochs so
-the model-selection signal is comparable between epochs.
+bit-exact run. `pretrain` builds the sanity split's views and masks once,
+before its first epoch, and every epoch's sanity loss scores those same
+frozen inputs, so the model-selection signal is comparable between epochs.
 
 Pretraining masks the original and the augmented view from separate rng
 streams, then runs both through the encoder, projection head and decoder as
@@ -132,6 +133,12 @@ class RunSettings:
     keep_zeroed: bool = False
 
     def __post_init__(self):
+        # a run has one seed: `run_config` stores it once, as `seed`
+        if self.train.seed != self.split.seed:
+            raise ConfigError(
+                f"train seed {self.train.seed} and split seed {self.split.seed} "
+                "differ; a run has one seed"
+            )
         if self.keep_zeroed and self.loss.reconstruct_target == "masked":
             raise ConfigError(
                 "mask.keep_zeroed only supports the visible reconstruction target"
@@ -159,8 +166,7 @@ def run_config(settings: RunSettings, meta: DatasetMeta) -> dict:
     Its keys are `config.SCHEMA`'s plus `data.T`, `data.D` and
     `data.num_classes`. Each value is the one the run used, so
     `model.init_seed` holds the resolved seed and a single-objective loss
-    its forced weights. `seed` is the training seed; settings built from a
-    configuration give every stage that seed.
+    its forced weights. `seed` is the run seed, which every stage shares.
     """
     config = {"seed": settings.train.seed}
     for section, _ in _SECTIONS:
@@ -320,28 +326,59 @@ def _snapshot(
 _STACK_ROWS = 1 << 12
 
 
-def _sanity_loss(
-    sanity, params, settings: RunSettings, lambdas
-) -> float | None:
-    """Mean joint loss over the sanity split's full batches.
+@dataclass(frozen=True)
+class _SanitySet:
+    """The sanity split as `_sanity_loss` scores it: the normalized samples
+    and, per full batch, one `_patchify_view` tuple per view, original
+    first. Its arrays are read-only. Its length is the number of samples."""
 
-    Each batch is augmented and masked from its own (seed, tag, batch)
-    streams, the same in every epoch. The batches run through the model in
-    stacks of up to `_STACK_ROWS` token rows; `joint_loss` then scores each
-    batch in batch order.
+    samples: list
+    batches: tuple
+
+    def __len__(self) -> int:
+        return len(self.samples)
+
+
+def _sanity_set(samples, settings: RunSettings) -> _SanitySet:
+    """Build the sanity split's views once per run.
+
+    The full, unshuffled batches are augmented and masked from their own
+    (seed, tag, batch) streams; a split of fewer than 2 samples has none.
     """
-    if len(sanity) < 2:
-        return None
-    seed = settings.train.seed
-    bs = min(settings.train.batch_size, len(sanity))
-    tags = (_SAN_AUG, _SAN_MASK_ORIG, _SAN_MASK_AUG)
-    batches = [
-        _views(values, settings, tuple(_rng(seed, tag, bi) for tag in tags))
-        for bi, (values, _) in enumerate(
-            make_batches(sanity, bs, seed=seed, epoch=0, drop_last=True, shuffle=False)
+    batches = ()
+    if len(samples) >= 2:
+        seed = settings.train.seed
+        bs = min(settings.train.batch_size, len(samples))
+        tags = (_SAN_AUG, _SAN_MASK_ORIG, _SAN_MASK_AUG)
+        batches = tuple(
+            tuple(_views(values, settings, tuple(_rng(seed, tag, bi) for tag in tags)))
+            for bi, (values, _) in enumerate(
+                make_batches(
+                    samples, bs, seed=seed, epoch=0, drop_last=True, shuffle=False
+                )
+            )
         )
-    ]
-    n_patches = batches[0][0][2].shape[1]  # the masks of the first view
+    for arr in (arr for views in batches for view in views for arr in view):
+        if arr is not None:
+            arr.flags.writeable = False
+    return _SanitySet(samples, batches)
+
+
+def _sanity_loss(
+    sanity: _SanitySet, params, settings: RunSettings, lambdas
+) -> float | None:
+    """Mean joint loss over the sanity split's full batches, or None for a
+    split without one.
+
+    `sanity` holds each batch's views and masks, built once by
+    `_sanity_set`. The batches run through the model in stacks of up to
+    `_STACK_ROWS` token rows; `joint_loss` then scores each batch in batch
+    order.
+    """
+    batches = sanity.batches
+    if not batches:
+        return None
+    bs, n_patches = batches[0][0][2].shape  # the masks of the first view
     per_stack = max(1, _STACK_ROWS // (len(batches[0]) * bs * (n_patches + 1)))
     total = 0.0
     with no_grad():
@@ -364,7 +401,7 @@ def pretrain(
         raise ConfigError("pretraining requires batch_size >= 2")
     pre, sanity = split_pretrain(corpus.train, settings.split)
     pre, norm_mean, norm_std = normalize(pre)
-    sanity = apply_normalization(sanity, norm_mean, norm_std)
+    sanity = _sanity_set(apply_normalization(sanity, norm_mean, norm_std), settings)
     proj_tokens = (
         settings.patch.n_patches(corpus.meta.T) if settings.keep_zeroed else None
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -135,6 +136,17 @@ def _saved(tmp_path):
     return path, path.read_bytes()
 
 
+def _rewritten(tmp_path, edit):
+    """The saved sample checkpoint with its manifest edited by `edit`."""
+    path, raw = _saved(tmp_path)
+    (mlen,) = struct.unpack("<Q", raw[8:16])
+    manifest = json.loads(raw[16 : 16 + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+    return path
+
+
 class TestBadInput:
     def test_truncated_payload(self, tmp_path):
         path, raw = _saved(tmp_path)
@@ -183,16 +195,15 @@ class TestBadInput:
             lambda m: m["params"][0].update(shape="4x8"),
             lambda m: m["params"][1].update(offset=0),
             lambda m: m.update(config=[]),
+            lambda m: m.pop("config_digest"),
         ],
-        ids=["missing-key", "bad-shape", "bad-offset", "config-not-object"],
+        ids=[
+            "missing-key", "bad-shape", "bad-offset", "config-not-object",
+            "missing-digest",
+        ],
     )
     def test_invalid_manifest_fields(self, tmp_path, edit):
-        path, raw = _saved(tmp_path)
-        (mlen,) = struct.unpack("<Q", raw[8:16])
-        manifest = json.loads(raw[16 : 16 + mlen])
-        edit(manifest)
-        blob = json.dumps(manifest).encode()
-        path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
+        path = _rewritten(tmp_path, edit)
         with pytest.raises(ConfigError, match="invalid checkpoint manifest"):
             load_checkpoint(path)
 
@@ -216,3 +227,37 @@ class TestDigest:
         other = dict(ckpt.config)
         other["model.d_model"] = 16
         assert arch_digest(other) != ckpt.digest
+
+
+class TestStoredDigest:
+    """`load_checkpoint` checks the stored `config_digest` against the
+    stored config."""
+
+    # sha256 of the file the sample checkpoint is saved as, unchanged since
+    # the format stored the digest without reading it
+    SAMPLE_FILE_SHA256 = (
+        "24341c60ae8f33e61a10c86e13d18c597080f4311b43726282fc45e284f4aac3"
+    )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m["config"].update({"model.d_model": 16}),
+            lambda m: m.update(config_digest="0" * 64),
+        ],
+        ids=["arch-key-with-the-old-digest", "digest"],
+    )
+    def test_edited_manifest_rejected(self, tmp_path, edit):
+        path = _rewritten(tmp_path, edit)
+        with pytest.raises(ConfigError, match=r"good\.ckpt: .*config_digest"):
+            load_checkpoint(path)
+
+    def test_non_arch_edit_keeps_the_digest(self, tmp_path):
+        path = _rewritten(tmp_path, lambda m: m["config"].update(seed=99))
+        assert load_checkpoint(path).config["seed"] == 99
+
+    def test_earlier_files_still_load(self, tmp_path):
+        # the bytes are those the format wrote before the digest had a reader
+        path, raw = _saved(tmp_path)
+        assert hashlib.sha256(raw).hexdigest() == self.SAMPLE_FILE_SHA256
+        assert load_checkpoint(path).config == sample_checkpoint().config

@@ -197,6 +197,31 @@ class TestPretrainCommand:
         assert not (tmp_path / "best.ckpt").exists()
 
     @pytest.mark.parametrize(
+        "content, message",
+        [
+            ('{"loss": {"tau": 1%s}}' % ("0" * 400), "loss.tau: expected a finite float"),
+            ('{"seed": %s}' % ("1" * 5000), "invalid JSON"),
+        ],
+        ids=["float-range", "int-digit-limit"],
+    )
+    def test_huge_integer_in_config_file_exits_1(
+        self, corpus_dir, tmp_path, capsys, content, message
+    ):
+        config = tmp_path / "big.json"
+        config.write_text(content)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path / "o")]
+                + ["--config", str(config)]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err and "0" * 20 not in err
+        assert not (tmp_path / "o" / "best.ckpt").exists()
+
+    @pytest.mark.parametrize(
         "name, content",
         [
             ("train.csv", b"0,1.0\xe9\n"),

@@ -123,6 +123,24 @@ class TestResolveConfig:
         msg = str(err.value)
         assert "loss.tau" in msg and "train.lr_pretrain" in msg and "patch.theta" in msg
 
+    @pytest.mark.parametrize("source", ["file", "override"])
+    def test_float_integer_beyond_the_float_range_reported(self, tmp_path, source):
+        huge = 10**400
+        f = tmp_path / "big.json"
+        f.write_text(json.dumps({"loss": {"tau": huge}}))
+        args = (f, {}) if source == "file" else (None, {"loss.tau": huge})
+        with pytest.raises(ConfigError) as err:
+            resolve_config(*args, env={})
+        msg = str(err.value)
+        assert "loss.tau: expected a finite float" in msg
+        assert "0" * 20 not in msg
+
+    def test_integer_past_the_digit_limit_reported(self, tmp_path):
+        f = tmp_path / "huge.json"
+        f.write_text('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match="huge.json: invalid JSON"):
+            resolve_config(f, {}, env={})
+
 
 class TestSettingsFromConfig:
     def meta(self):
@@ -192,6 +210,12 @@ class TestRunConfig:
         assert (config["data.T"], config["data.D"], config["data.num_classes"]) == (
             96, 2, 3
         )
+
+    def test_differing_stage_seeds_rejected(self):
+        # the stored config has one seed, so a run may not have two
+        _, settings, _ = self.derived({"seed": "4"})
+        with pytest.raises(ConfigError, match="train seed 4 and split seed 9"):
+            dataclasses.replace(settings, split=SplitPlan(seed=9))
 
     def test_config_holds_what_ran(self):
         # the resolved init seed and a single-objective mode's forced

@@ -119,10 +119,52 @@ class TestPretrain:
             calls.append(args)
             return score(*args)
 
+        built = trainer._sanity_set(sanity, settings)
         monkeypatch.setattr(trainer, "joint_loss", counted)
-        trainer._sanity_loss(sanity, params, settings, (1.0, 1.0))
+        trainer._sanity_loss(built, params, settings, (1.0, 1.0))
+        assert len(built) == len(sanity)
         assert len(sanity) // 4 >= 2
         assert len(calls) == len(sanity) // 4
+
+    def test_sanity_views_built_once_per_run(self, corpus, monkeypatch):
+        # each epoch masks its training batches; the sanity batches are
+        # masked once, before the first epoch
+        settings = make_settings(seed=0, epochs_pretrain=3)
+        settings.split.pretrain_fraction = 0.5
+        pre, sanity = split_pretrain(corpus.train, settings.split)
+        train_batches = len(pre) // settings.train.batch_size
+        sanity_batches = len(sanity) // settings.train.batch_size
+        assert train_batches >= 2 and sanity_batches >= 2
+        calls = []
+        mask = trainer.batch_patchify_mask
+
+        def counted(*args):
+            calls.append(args)
+            return mask(*args)
+
+        monkeypatch.setattr(trainer, "batch_patchify_mask", counted)
+        pretrain(corpus, settings)
+        # each batch has an original and an augmented view
+        assert len(calls) == (3 * train_batches + sanity_batches) * 2
+
+    def test_built_sanity_arrays_are_read_only(self, corpus):
+        settings = make_settings(seed=0, reconstruct_target="masked")
+        _, sanity = split_pretrain(corpus.train, settings.split)
+        built = trainer._sanity_set(sanity, settings)
+        arrays = [arr for views in built.batches for view in views for arr in view]
+        assert len(arrays) == len(built.batches) * 2 * 4  # full target included
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+
+    def test_split_below_two_samples_has_no_sanity_loss(self, corpus):
+        settings = make_settings(seed=0)
+        params = init_params(
+            settings.model, settings.patch, META, loss=settings.loss
+        )
+        built = trainer._sanity_set(corpus.train[:1], settings)
+        assert len(built) == 1 and built.batches == ()
+        assert trainer._sanity_loss(built, params, settings, (1.0, 1.0)) is None
 
     def test_batch_size_one_rejected(self, corpus):
         settings = make_settings(seed=0, epochs_pretrain=1)
@@ -224,7 +266,8 @@ class TestForwardOnlyPasses:
             settings.model, settings.patch, META, loss=settings.loss
         )
         lambdas = (1.0, 1.0)
-        assert trainer._sanity_loss(sanity, params, settings, lambdas) is not None
+        built = trainer._sanity_set(sanity, settings)
+        assert trainer._sanity_loss(built, params, settings, lambdas) is not None
         values = np.stack([s.values for s in pre[:16]])
         rngs = tuple(np.random.default_rng(k) for k in (1, 2, 3))
         total, _ = joint_loss(
