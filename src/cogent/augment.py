@@ -14,6 +14,7 @@ import numpy as np
 
 from .data import TimeSeriesSample
 from .errors import ConfigError
+from .losses import _FLOAT32_MAX
 
 KINDS = ("jitter", "time_mask")
 
@@ -27,8 +28,12 @@ class AugmentConfig:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown augmentation kind {self.kind!r}; use {KINDS}")
-        if self.epsilon < 0:
-            raise ConfigError(f"epsilon must be >= 0, got {self.epsilon}")
+        # epsilon scales float32 noise, so it must be a float32 value
+        if not 0 <= self.epsilon <= _FLOAT32_MAX:
+            raise ConfigError(
+                f"epsilon must be in [0, {_FLOAT32_MAX:.8g}] (the float32 range), "
+                f"got {self.epsilon}"
+            )
         if not 0.0 <= self.mask_fraction < 1.0:
             raise ConfigError(
                 f"mask_fraction must be in [0, 1), got {self.mask_fraction}"

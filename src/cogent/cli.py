@@ -18,7 +18,7 @@ from . import selfcheck as selfcheck_mod
 from .checkpoint import load_checkpoint
 from .config import resolve_config, settings_from_config, write_resolved
 from .data import DatasetMeta, gen_synthetic, load_corpus
-from .errors import CogentError, ConfigError, ContractError, ParseError
+from .errors import CogentError, ConfigError, ParseError
 from .trainer import (
     evaluate,
     export_embeddings,
@@ -67,13 +67,10 @@ def _split_overrides(rest: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _common(parser: _Parser, need_data=True, need_out=True, need_config=True):
-    if need_config:
-        parser.add_argument("--config", default=None)
-    if need_data:
-        parser.add_argument("--data", required=True)
-    if need_out:
-        parser.add_argument("--out", required=True)
+def _common(parser: _Parser):
+    parser.add_argument("--config", default=None)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--out", required=True)
 
 
 def _load_settings(args, overrides):
@@ -268,16 +265,10 @@ def main(argv: list[str]) -> int:
         return 1
     try:
         return handler(argv[1:])
-    except (ConfigError, ParseError) as e:
+    except (ConfigError, ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except ContractError as e:
-        print(f"internal error: {e}", file=sys.stderr)
-        return 2
-    except CogentError as e:
+    except CogentError as e:  # ContractError: a broken internal precondition
         print(f"internal error: {e}", file=sys.stderr)
         return 2
 

@@ -269,14 +269,14 @@ def gen_synthetic(
     per_class: int,
     seed: int = 0,
     sigma: float = 0.1,
-    val_fraction: float = 0.5,
 ) -> Corpus:
     """Write a class-separable synthetic corpus and return it.
 
     Class c is a sinusoid with c+1 cycles over the window and a class-specific
     base phase; each sample draws a small phase jitter plus Gaussian noise of
     amplitude sigma. At sigma=0.1 a nearest-centroid classifier separates the
-    classes almost perfectly.
+    classes almost perfectly. The train split holds `per_class` samples of
+    each class, the val and test splits half as many (at least one).
     """
     if meta.num_classes > 8:
         raise ConfigError(
@@ -313,7 +313,7 @@ def gen_synthetic(
                 )
         return samples
 
-    n_eval = max(1, round(per_class * val_fraction))
+    n_eval = max(1, round(per_class * 0.5))
     corpus = Corpus(
         meta=meta,
         train=make_samples(per_class),

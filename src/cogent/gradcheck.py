@@ -25,8 +25,8 @@ _MICRO_LOSS = LossConfig(mode="cogent", tau=0.2)
 
 def build_micro_instance(seed: int = 0, dtype=np.float64):
     """Deterministic micro model plus one fixed two-sample batch, as two
-    tokenized views (original, jittered): one batch in `trainer._stacked_terms`
-    form.
+    `batch_patchify_mask` views (original, jittered): one batch in
+    `trainer._stacked_terms` form.
 
     Parameters are redrawn at generic scales (weights sigma 0.25, norm gains
     near 1) instead of the training init: at the 0.02-std init the relu
@@ -58,13 +58,9 @@ def build_micro_instance(seed: int = 0, dtype=np.float64):
     rng = np.random.default_rng(seed + 100)
     values = rng.normal(size=(2, 16, 1))
     augmented = values + 0.1 * rng.standard_normal((2, 16, 1))
-
-    def tokenize(batch, mask_rng):
-        return (*batch_patchify_mask(batch.astype(dtype), patch_cfg, mask_rng), None)
-
     return params, [
-        tokenize(values, np.random.default_rng(seed + 200)),
-        tokenize(augmented, np.random.default_rng(seed + 300)),
+        batch_patchify_mask(batch.astype(dtype), patch_cfg, np.random.default_rng(s))
+        for batch, s in ((values, seed + 200), (augmented, seed + 300))
     ]
 
 

@@ -38,10 +38,13 @@ class LossConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown loss mode {self.mode!r}; use {MODES}")
-        # the logits are float32, so a tau that rounds to 0 there is not
-        # positive (min() keeps a large value's cast finite)
-        if not np.float32(min(self.tau, 1.0)) > 0:
-            raise ConfigError(f"temperature tau must be positive, got {self.tau}")
+        # the logits are float32 and scaled by 1/tau, so tau and 1/tau must
+        # both be float32 values (compared as floats: the cast itself warns)
+        if not 1 / _FLOAT32_MAX <= self.tau <= _FLOAT32_MAX:
+            raise ConfigError(
+                f"temperature tau must be in [{1 / _FLOAT32_MAX:.8g}, "
+                f"{_FLOAT32_MAX:.8g}] (1/tau in the float32 range), got {self.tau}"
+            )
         if self.lambda_policy not in LAMBDA_POLICIES:
             raise ConfigError(
                 f"unknown lambda policy {self.lambda_policy!r}; use {LAMBDA_POLICIES}"

@@ -360,8 +360,10 @@ def decode(
     return _affine(x[:, 1:, :], params, "dec_head")
 
 
-def classify(z: Tensor, params: ModelParams, return_hidden: bool = False):
-    """Logits from the concatenated patch embeddings (theta=0: all N visible)."""
+def classify(z: Tensor, params: ModelParams) -> tuple[Tensor, Tensor]:
+    """(logits, hidden) from the concatenated patch embeddings (theta=0: all
+    N visible); `hidden` is the classifier's hidden layer, which embedding
+    export reads."""
     b, tokens, dm = z.shape
     if tokens - 1 != params.n_patches:
         raise ContractError(
@@ -370,7 +372,4 @@ def classify(z: Tensor, params: ModelParams, return_hidden: bool = False):
         )
     flat = reshape(z[:, 1:, :], (b, params.n_patches * dm))
     hidden = relu(_affine(flat, params, "clf.fc1"))
-    logits = _affine(hidden, params, "clf.fc2")
-    if return_hidden:
-        return logits, hidden
-    return logits
+    return _affine(hidden, params, "clf.fc2"), hidden

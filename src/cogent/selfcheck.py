@@ -38,7 +38,7 @@ from .model import (
     project_head,
 )
 from .optim import AdamConfig, AdamState, adam_step
-from .patchmask import PatchConfig, batch_patchify_mask, sample_mask
+from .patchmask import PatchConfig, batch_patchify_mask, patchify, sample_mask
 from .tensor import (
     Tensor,
     _erf,
@@ -60,7 +60,6 @@ from .tensor import (
 from .trainer import (
     RunSettings,
     TrainConfig,
-    _full_tokens,
     _loss_parts,
     _masked_recon_term,
     pretrain,
@@ -527,7 +526,7 @@ def _per_view_loss_parts(values, params, settings: RunSettings, rngs):
     rng_aug, rng_mask_o, rng_mask_a = rngs
 
     def forward(batch, rng_mask):
-        tokens, idx, masks = batch_patchify_mask(
+        tokens, idx, masks, _ = batch_patchify_mask(
             batch, settings.patch, rng_mask, settings.keep_zeroed
         )
         return batch, tokens, idx, masks, encode(tokens, idx, params)
@@ -536,9 +535,9 @@ def _per_view_loss_parts(values, params, settings: RunSettings, rngs):
         n = masks.shape[1]
         v = settings.patch.n_visible(batch.shape[1])
         if cfg.reconstruct_target == "masked":
-            full, _ = _full_tokens(batch, settings.patch)
+            patches, _ = patchify(batch, settings.patch)
             p_hat = decode(z, idx, params, masks=masks)
-            return _masked_recon_term(p_hat, full, 1 - masks, n - v)
+            return _masked_recon_term(p_hat, patches, 1 - masks, n - v)
         p_hat = decode(z, idx, params)
         if settings.keep_zeroed:
             return _masked_recon_term(p_hat, tokens, masks, v)

@@ -14,6 +14,13 @@ goes through the model at once, up to a fixed budget of token rows, and the
 results are split per batch and per view. Those stages act per sample, so
 each view's loss terms carry the bits of a per-view, per-batch pass; the
 parameter gradients of a step sum both views' rows in one reduction.
+
+`patchmask` owns the token layout: each view is one `batch_patchify_mask`
+tuple (tokens, token_idx, masks, patches), and fine-tuning, validation,
+evaluation and export feed the encoder `patchify`'s all-patches layout.
+`evaluate` and `export_embeddings` rebuild the model and normalize the split
+in one shared step, then run the same forward, which yields the logits and
+the classifier's hidden layer together.
 """
 
 from __future__ import annotations
@@ -41,6 +48,7 @@ from .data import (
 )
 from .errors import ConfigError, ContractError
 from .losses import (
+    _FLOAT32_MAX,
     LossConfig,
     LossReport,
     balance_lambdas,
@@ -61,7 +69,7 @@ from .model import (
     sinusoid_table,
 )
 from .optim import AdamConfig, AdamState, adam_step
-from .patchmask import PatchConfig, batch_patchify_mask
+from .patchmask import PatchConfig, batch_patchify_mask, patchify
 from .tensor import Tensor, no_grad, tsum
 
 # rng stream tags (never reuse across purposes)
@@ -114,6 +122,14 @@ class TrainConfig:
                 raise ConfigError(f"{key} must be in [0, 1), got {value}")
         if self.weight_decay < 0:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for key in ("lr_pretrain", "lr_finetune", "adam_eps", "weight_decay"):
+            # each scales a float32 array, so it must be a float32 value
+            value = getattr(self, key)
+            if value > _FLOAT32_MAX:
+                raise ConfigError(
+                    f"{key} must be at most {_FLOAT32_MAX:.8g} (the float32 range), "
+                    f"got {value}"
+                )
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -185,15 +201,6 @@ def _rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(list(keys))
 
 
-def _full_tokens(values: np.ndarray, patch_cfg: PatchConfig):
-    """All-patches token view of a batch (theta = 0 pathway)."""
-    b, t, d = values.shape
-    n = patch_cfg.n_patches(t)
-    tokens = values[:, : n * patch_cfg.L, :].reshape(b, n, patch_cfg.L * d)
-    idx = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
-    return tokens.astype(np.float32), idx
-
-
 def _masked_recon_term(
     p_hat: Tensor, target: np.ndarray, weights: np.ndarray, count_per_sample: int
 ) -> Tensor:
@@ -205,22 +212,10 @@ def _masked_recon_term(
     return tsum(d * d) * (1.0 / (b * count_per_sample))
 
 
-def _patchify_view(values, settings: RunSettings, rng_mask):
-    """(tokens, token_idx, masks, full) of one view; `full` is the
-    all-patches target, built only for the masked target."""
-    tokens, idx, masks = batch_patchify_mask(
-        values, settings.patch, rng_mask, settings.keep_zeroed
-    )
-    full = None
-    if settings.loss.reconstruct_target == "masked":
-        full, _ = _full_tokens(values, settings.patch)
-    return tokens, idx, masks, full
-
-
 def _stacked_terms(batches, params, cfg: LossConfig, keep_zeroed: bool = False):
     """Loss terms of one or more batches, run through the model as one stack.
 
-    Each batch holds one `_patchify_view` tuple per view, original first; a
+    Each batch holds one `batch_patchify_mask` tuple per view, original first; a
     training step passes one batch, the sanity pass up to `_STACK_ROWS`
     token rows of them. Every view of every batch is stacked along the batch
     axis, all originals first, and `encode`, `project_head` and `decode`
@@ -259,12 +254,12 @@ def _stacked_terms(batches, params, cfg: LossConfig, keep_zeroed: bool = False):
     n = masks.shape[1]
     visible = int(masks[0].sum())  # exact-count masks: the same in every row
     terms = []
-    for i, (view_tokens, _, view_masks, full) in enumerate(views):
+    for i, (view_tokens, _, view_masks, patches) in enumerate(views):
         part = p_hat if len(views) == 1 else p_hat[bounds[i] : bounds[i + 1]]
         if masked:
             # standard masked-autoencoder target: the decoder filled the
             # holes with the mask token; score only the hidden patches
-            term = _masked_recon_term(part, full, 1 - view_masks, n - visible)
+            term = _masked_recon_term(part, patches, 1 - view_masks, n - visible)
         elif keep_zeroed:
             term = _masked_recon_term(part, view_tokens, view_masks, visible)
         else:
@@ -280,13 +275,14 @@ def _stacked_terms(batches, params, cfg: LossConfig, keep_zeroed: bool = False):
 
 
 def _views(values, settings: RunSettings, rngs):
-    """The `_patchify_view` tuples of the views the mode needs of one batch;
-    each view is masked from its own rng stream."""
+    """The `batch_patchify_mask` views the mode needs of one batch; each view
+    is masked from its own rng stream."""
     rng_aug, rng_mask_o, rng_mask_a = rngs
-    views = [_patchify_view(values, settings, rng_mask_o)]
+    cfg, keep_zeroed = settings.patch, settings.keep_zeroed
+    views = [batch_patchify_mask(values, cfg, rng_mask_o, keep_zeroed)]
     if settings.loss.needs_aug_view:
         augmented = make_views_batch(values, settings.augment, rng_aug)
-        views.append(_patchify_view(augmented, settings, rng_mask_a))
+        views.append(batch_patchify_mask(augmented, cfg, rng_mask_a, keep_zeroed))
     return views
 
 
@@ -329,7 +325,7 @@ _STACK_ROWS = 1 << 12
 @dataclass(frozen=True)
 class _SanitySet:
     """The sanity split as `_sanity_loss` scores it: the normalized samples
-    and, per full batch, one `_patchify_view` tuple per view, original
+    and, per full batch, one `batch_patchify_mask` tuple per view, original
     first. Its arrays are read-only. Its length is the number of samples."""
 
     samples: list
@@ -359,8 +355,7 @@ def _sanity_set(samples, settings: RunSettings) -> _SanitySet:
             )
         )
     for arr in (arr for views in batches for view in views for arr in view):
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
     return _SanitySet(samples, batches)
 
 
@@ -479,41 +474,32 @@ def pretrain(
     return best_ckpt, log
 
 
-def _mean_report(reports: list[LossReport]) -> dict:
-    def mean_of(key):
-        vals = [getattr(r, key) for r in reports]
-        if any(v is None for v in vals):
-            return None
-        return float(np.mean(vals))
+# an epoch's log entry: its number, the mean of each `LossReport` field, and
+# the sanity loss; these are the columns of loss_log.csv
+_REPORT_KEYS = tuple(f.name for f in fields(LossReport))
+_LOG_KEYS = ("epoch", *_REPORT_KEYS, "sanity_total")
 
-    return {
-        "l_r_orig": mean_of("l_r_orig"),
-        "l_r_aug": mean_of("l_r_aug"),
-        "l_r": mean_of("l_r"),
-        "l_c": mean_of("l_c"),
-        "lambda_c": reports[0].lambda_c,
-        "lambda_r": reports[0].lambda_r,
-        "total": mean_of("total"),
-    }
+
+def _mean_report(reports: list[LossReport]) -> dict:
+    """Each field's mean over an epoch's reports; None where a term is off.
+    The weights are those of the first report: a mean of equal floats need
+    not equal them."""
+    entry = {}
+    for key in _REPORT_KEYS:
+        vals = [getattr(r, key) for r in reports]
+        if key.startswith("lambda_"):
+            entry[key] = vals[0]
+        else:
+            entry[key] = None if None in vals else float(np.mean(vals))
+    return entry
 
 
 def _write_loss_log(path, log: list[dict]) -> None:
-    fields = [
-        "epoch",
-        "l_r_orig",
-        "l_r_aug",
-        "l_r",
-        "l_c",
-        "lambda_c",
-        "lambda_r",
-        "total",
-        "sanity_total",
-    ]
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=_LOG_KEYS)
         writer.writeheader()
         for entry in log:
-            writer.writerow({k: ("" if entry.get(k) is None else entry[k]) for k in fields})
+            writer.writerow({k: "" if v is None else v for k, v in entry.items()})
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
@@ -607,8 +593,7 @@ def finetune(
         for values, labels in make_batches(
             subset, tc.batch_size, seed=tc.seed, epoch=epoch, drop_last=False
         ):
-            tokens, idx = _full_tokens(values, ft_patch)
-            logits = classify(encode(tokens, idx, params), params)
+            logits, _ = classify(encode(*patchify(values, ft_patch), params), params)
             loss = cross_entropy(logits, labels)
             if not math.isfinite(loss.item()):
                 raise ContractError(f"non-finite fine-tune loss at epoch {epoch}")
@@ -633,25 +618,18 @@ def finetune(
     return best_ckpt, best_report
 
 
-def _forward_logits(params, patch_cfg, samples, batch_size, return_hidden=False):
-    logits_rows, hidden_rows, label_rows = [], [], []
+def _forward_logits(params, patch_cfg, samples, batch_size):
+    """(logits, labels, classifier hidden activations) of a normalized split,
+    forward only, in batches of `batch_size`."""
+    rows = []
     with no_grad():
         for values, labels in make_batches(
             samples, batch_size, drop_last=False, shuffle=False
         ):
-            tokens, idx = _full_tokens(values, patch_cfg)
-            z = encode(tokens, idx, params)
-            if return_hidden:
-                logits, hidden = classify(z, params, return_hidden=True)
-                hidden_rows.append(hidden.data)
-            else:
-                logits = classify(z, params)
-            logits_rows.append(logits.data)
-            label_rows.append(labels)
-    logits = np.concatenate(logits_rows)
-    labels = np.concatenate(label_rows)
-    hidden = np.concatenate(hidden_rows) if return_hidden else None
-    return logits, labels, hidden
+            z = encode(*patchify(values, patch_cfg), params)
+            logits, hidden = classify(z, params)
+            rows.append((logits.data, labels, hidden.data))
+    return tuple(np.concatenate(col) for col in zip(*rows))
 
 
 def _scores_from_logits(logits: np.ndarray) -> np.ndarray:
@@ -667,37 +645,31 @@ def _evaluate_params(params, patch_cfg, samples, batch_size) -> MetricReport:
     return compute_metrics(labels, preds, scores, params.meta.num_classes)
 
 
-def evaluate(ckpt: Checkpoint, samples, batch_size: int = 64) -> MetricReport:
-    """Metrics of a fine-tuned checkpoint on a raw (unnormalized) split."""
+def _inference_inputs(ckpt: Checkpoint, samples):
+    """The model a fine-tuned checkpoint stores, its patch layout, and a raw
+    split normalized with the checkpoint's statistics."""
     if not samples:
-        raise ConfigError("cannot evaluate an empty split")
+        raise ConfigError("cannot run a checkpoint on an empty split")
     params, patch_cfg = params_from_checkpoint(ckpt)
     normed = apply_normalization(
         samples,
         np.array(ckpt.norm_mean, dtype=np.float32),
         np.array(ckpt.norm_std, dtype=np.float32),
     )
-    return _evaluate_params(params, patch_cfg, normed, batch_size)
+    return params, patch_cfg, normed
+
+
+def evaluate(ckpt: Checkpoint, samples, batch_size: int = 64) -> MetricReport:
+    """Metrics of a fine-tuned checkpoint on a raw (unnormalized) split."""
+    return _evaluate_params(*_inference_inputs(ckpt, samples), batch_size)
 
 
 def export_embeddings(
-    ckpt: Checkpoint,
-    samples,
-    out_csv=None,
-    out_silhouette=None,
-    batch_size: int = 64,
+    ckpt: Checkpoint, samples, out_csv=None, out_silhouette=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Classifier hidden-layer activations per sample, plus their silhouette."""
-    if not samples:
-        raise ConfigError("cannot export embeddings for an empty split")
-    params, patch_cfg = params_from_checkpoint(ckpt)
-    normed = apply_normalization(
-        samples,
-        np.array(ckpt.norm_mean, dtype=np.float32),
-        np.array(ckpt.norm_std, dtype=np.float32),
-    )
     _, labels, hidden = _forward_logits(
-        params, patch_cfg, normed, batch_size, return_hidden=True
+        *_inference_inputs(ckpt, samples), batch_size=64
     )
     score = silhouette_score(hidden, labels)
     if out_csv is not None:

@@ -7,6 +7,7 @@ import pytest
 
 from cogent import selfcheck
 from cogent.cli import main
+from cogent.config import SCHEMA
 from cogent.data import load_corpus
 from cogent.tensor import Tensor
 
@@ -194,6 +195,34 @@ class TestPretrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration") and key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "best.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            (key, value)
+            for key, (kind, _) in SCHEMA.items()
+            if kind == "float"
+            for value in ("1e39", "1e308")
+        ]
+        # 1/tau would overflow float32
+        + [("loss.tau", "1e-39")],
+    )
+    def test_float_outside_the_float32_range_exits_1(
+        self, corpus_dir, tmp_path, capsys, key, value
+    ):
+        # every float key, from the schema, so a key added later is covered
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                ["pretrain", "--data", str(corpus_dir), "--out", str(tmp_path)]
+                + SMALL
+                + [f"--{key}", value]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration")
+        assert key.split(".")[1] in err and "Traceback" not in err
         assert not (tmp_path / "best.ckpt").exists()
 
     @pytest.mark.parametrize(

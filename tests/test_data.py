@@ -34,12 +34,12 @@ def _samples(labels, T=4, D=1, fill=None, rng=None):
 class TestLoadCorpus:
     def test_synthetic_round_trip(self, tmp_path):
         meta = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
-        # 10 rows per split file via per_class and val_fraction
-        gen_synthetic(tmp_path, meta, per_class=10, seed=1, val_fraction=1.0)
+        # per class: 10 train rows, half as many val and test rows
+        gen_synthetic(tmp_path, meta, per_class=10, seed=1)
         corpus = load_corpus(tmp_path)
         assert len(corpus.train) == 30
-        assert len(corpus.val) == 30
-        assert len(corpus.test) == 30
+        assert len(corpus.val) == 15
+        assert len(corpus.test) == 15
         assert corpus.meta.T == 96 and corpus.meta.D == 1
         for s in corpus.train:
             assert s.values.shape == (96, 1)

@@ -252,7 +252,7 @@ class TestClassify:
         meta, patch_cfg, _, params = micro_setup(theta=0.0, num_classes=3)
         tokens = np.zeros((2, 4, 4), np.float32)
         idx = np.tile(np.arange(4), (2, 1))
-        logits = classify(encode(tokens, idx, params), params)
+        logits, _ = classify(encode(tokens, idx, params), params)
         assert logits.shape == (2, 3)
 
     def test_argmax_shift_invariant(self):
@@ -260,7 +260,7 @@ class TestClassify:
         rng = np.random.default_rng(6)
         tokens = rng.normal(size=(2, 4, 4)).astype(np.float32)
         idx = np.tile(np.arange(4), (2, 1))
-        logits = classify(encode(tokens, idx, params), params).data
+        logits = classify(encode(tokens, idx, params), params)[0].data
         shifted = logits + 3.7
         np.testing.assert_array_equal(
             np.argmax(logits, axis=1), np.argmax(shifted, axis=1)
@@ -278,7 +278,7 @@ class TestClassify:
         _, _, _, params = micro_setup(theta=0.0)
         tokens = np.zeros((2, 4, 4), np.float32)
         idx = np.tile(np.arange(4), (2, 1))
-        logits, hidden = classify(encode(tokens, idx, params), params, return_hidden=True)
+        logits, hidden = classify(encode(tokens, idx, params), params)
         assert hidden.shape == (2, params["clf.fc1.w"].shape[1])
 
 

@@ -148,14 +148,17 @@ class TestPretrain:
         assert len(calls) == (3 * train_batches + sanity_batches) * 2
 
     def test_built_sanity_arrays_are_read_only(self, corpus):
-        settings = make_settings(seed=0, reconstruct_target="masked")
-        _, sanity = split_pretrain(corpus.train, settings.split)
-        built = trainer._sanity_set(sanity, settings)
-        arrays = [arr for views in built.batches for view in views for arr in view]
-        assert len(arrays) == len(built.batches) * 2 * 4  # full target included
-        for arr in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
+        # every view holds (tokens, token_idx, masks, patches) under either
+        # reconstruction target
+        for target in ("masked", "visible"):
+            settings = make_settings(seed=0, reconstruct_target=target)
+            _, sanity = split_pretrain(corpus.train, settings.split)
+            built = trainer._sanity_set(sanity, settings)
+            arrays = [arr for views in built.batches for view in views for arr in view]
+            assert len(arrays) == len(built.batches) * 2 * 4
+            for arr in arrays:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
 
     def test_split_below_two_samples_has_no_sanity_loss(self, corpus):
         settings = make_settings(seed=0)
@@ -423,7 +426,7 @@ class TestEvaluateAndExport:
         n = patch_cfg.n_patches(96)
         tokens = np.zeros((2, n, 16), dtype=np.float32)
         idx = np.tile(np.arange(n), (2, 1))
-        logits, hidden = classify(encode(tokens, idx, params), params, return_hidden=True)
+        logits, hidden = classify(encode(tokens, idx, params), params)
         assert logits._parents == () and hidden._parents == ()
         assert not any(t.requires_grad for _, t in params.items())
 
