@@ -5,7 +5,7 @@ a full evaluation suite."""
 
 from .augment import AugmentConfig, jitter, make_view, time_mask
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import resolve_config, settings_from_config
+from .config import RunSettings, TrainConfig, resolve_config, settings_from_config
 from .data import (
     Corpus,
     DatasetMeta,
@@ -39,14 +39,6 @@ from .model import (
 from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, sample_mask
 from .tensor import Tensor, finite_diff_check, gelu, layer_norm, matmul, softmax
-from .trainer import (
-    RunSettings,
-    TrainConfig,
-    evaluate,
-    export_embeddings,
-    finetune,
-    pretrain,
-    run_ablation,
-)
+from .trainer import evaluate, export_embeddings, finetune, pretrain, run_ablation
 
 __version__ = "0.1.0"

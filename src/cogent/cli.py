@@ -16,7 +16,12 @@ from pathlib import Path
 
 from . import selfcheck as selfcheck_mod
 from .checkpoint import load_checkpoint
-from .config import resolve_config, settings_from_config, write_resolved
+from .config import (
+    read_run_config,
+    resolve_config,
+    settings_from_config,
+    write_resolved,
+)
 from .data import DatasetMeta, gen_synthetic, load_corpus
 from .errors import CogentError, ConfigError, ParseError
 from .trainer import (
@@ -80,26 +85,30 @@ def _load_settings(args, overrides):
     return cfg, corpus, settings
 
 
-def _check_corpus_matches(ckpt, meta):
-    stored = (
-        int(ckpt.config["data.T"]),
-        int(ckpt.config["data.D"]),
-        int(ckpt.config["data.num_classes"]),
-    )
-    if stored != (meta.T, meta.D, meta.num_classes):
+def _ckpt_and_split(command: str, argv: list[str], need_out: bool):
+    """(args, checkpoint, its settings, the split's samples) of `evaluate` or
+    `export-embeddings`, once the corpus has the checkpoint's shape."""
+    parser = _Parser(prog=f"cogent {command}")
+    parser.add_argument("--from", dest="from_ckpt", required=True)
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--split", default="test", choices=("train", "val", "test"))
+    parser.add_argument("--out", required=need_out, default=None)
+    args = parser.parse_args(argv)
+    corpus = load_corpus(args.data)
+    ckpt = load_checkpoint(args.from_ckpt)
+    settings, stored = read_run_config(ckpt.config)
+    meta = corpus.meta
+    if (stored.T, stored.D, stored.num_classes) != (meta.T, meta.D, meta.num_classes):
         raise ConfigError(
             f"corpus shape (T={meta.T}, D={meta.D}, classes={meta.num_classes}) "
-            f"does not match the checkpoint (T={stored[0]}, D={stored[1]}, "
-            f"classes={stored[2]})"
+            f"does not match the checkpoint (T={stored.T}, D={stored.D}, "
+            f"classes={stored.num_classes})"
         )
-
-
-def _split_samples(corpus, data_dir, split: str):
-    samples = getattr(corpus, split)
+    samples = getattr(corpus, args.split)
     if not samples:
-        path = Path(data_dir) / f"{split}.csv"
-        raise ConfigError(f"the {split} split ({path}) is empty")
-    return samples
+        path = Path(args.data) / f"{args.split}.csv"
+        raise ConfigError(f"the {args.split} split ({path}) is empty")
+    return args, ckpt, settings, samples
 
 
 def _cmd_gen_synthetic(argv: list[str]) -> int:
@@ -170,38 +179,21 @@ def _cmd_finetune(argv: list[str]) -> int:
 
 
 def _cmd_evaluate(argv: list[str]) -> int:
-    parser = _Parser(prog="cogent evaluate")
-    parser.add_argument("--from", dest="from_ckpt", required=True)
-    parser.add_argument("--data", required=True)
-    parser.add_argument("--split", default="test", choices=("train", "val", "test"))
-    parser.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
-    corpus = load_corpus(args.data)
-    ckpt = load_checkpoint(args.from_ckpt)
-    _check_corpus_matches(ckpt, corpus.meta)
-    report = evaluate(ckpt, _split_samples(corpus, args.data, args.split))
+    args, ckpt, settings, samples = _ckpt_and_split("evaluate", argv, need_out=False)
+    report = evaluate(ckpt, samples)
     row = report.as_row()
     print(",".join(f"{k}={row[k]:.4f}" for k in row))
     if args.out is not None:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         write_metrics_csv(
             Path(args.out) / f"metrics_{args.split}.csv",
-            [(ckpt.config.get("loss.mode", "unknown"), True, report)],
+            [(settings.loss.mode, True, report)],
         )
     return 0
 
 
 def _cmd_export_embeddings(argv: list[str]) -> int:
-    parser = _Parser(prog="cogent export-embeddings")
-    parser.add_argument("--from", dest="from_ckpt", required=True)
-    parser.add_argument("--data", required=True)
-    parser.add_argument("--split", default="test", choices=("train", "val", "test"))
-    parser.add_argument("--out", required=True)
-    args = parser.parse_args(argv)
-    corpus = load_corpus(args.data)
-    ckpt = load_checkpoint(args.from_ckpt)
-    _check_corpus_matches(ckpt, corpus.meta)
-    samples = _split_samples(corpus, args.data, args.split)
+    args, ckpt, _, samples = _ckpt_and_split("export-embeddings", argv, need_out=True)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _, _, score = export_embeddings(

@@ -1,10 +1,10 @@
-"""Run configuration: key schema, file/override resolution, validation.
-
-Keys are the fields of the stage config dataclasses that one table,
-`trainer._SECTIONS`, lists; `settings_from_config` builds the stage configs
-from them and `trainer.run_config` maps them back. Precedence, lowest
-first: built-in defaults, the COGENT_SEED environment variable (seed only),
-the config file, command-line overrides. Validation collects every bad key
+"""Run configuration: the one module that maps a run's settings to flat keys
+and back. The keys are the fields of the stage configs that `_SECTIONS`
+lists; `settings_from_config` builds the stages from them, `run_config`
+maps the settings that ran back for a checkpoint, and `read_run_config`
+reads that back as it reads a config file. Precedence, lowest first:
+built-in defaults, the COGENT_SEED environment variable (seed only), the
+config file, command-line overrides. Validation collects every bad key
 before failing.
 """
 
@@ -13,12 +13,103 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .data import DatasetMeta
+import numpy as np
+
+from .augment import AugmentConfig
+from .data import DatasetMeta, SplitPlan
 from .errors import ConfigError
-from .trainer import _SECTIONS, RunSettings
+from .losses import _FLOAT32_MAX, LossConfig
+from .model import ModelConfig
+from .patchmask import PatchConfig
+
+
+@dataclass
+class TrainConfig:
+    epochs_pretrain: int = 100
+    epochs_finetune: int = 20
+    batch_size: int = 16
+    lr_pretrain: float = 1e-3
+    lr_finetune: float = 5e-4
+    beta1: float = 0.9
+    beta2: float = 0.999
+    adam_eps: float = 1e-8
+    weight_decay: float = 0.01
+    seed: int = 0
+    eval_every: int = 1
+
+    def __post_init__(self):
+        positive = {
+            "epochs_pretrain": self.epochs_pretrain,
+            "epochs_finetune": self.epochs_finetune,
+            "batch_size": self.batch_size,
+            "lr_pretrain": self.lr_pretrain,
+            "lr_finetune": self.lr_finetune,
+            "adam_eps": self.adam_eps,
+            "eval_every": self.eval_every,
+        }
+        for key, value in positive.items():
+            # the floats scale float32 arrays, so a float that rounds to 0
+            # there is not positive (min() keeps a large value's cast finite)
+            if not np.float32(min(value, 1.0)) > 0:
+                raise ConfigError(f"{key} must be positive, got {value}")
+        for key, value in {"beta1": self.beta1, "beta2": self.beta2}.items():
+            if not 0.0 <= value < 1.0:
+                raise ConfigError(f"{key} must be in [0, 1), got {value}")
+        if self.weight_decay < 0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for key in ("lr_pretrain", "lr_finetune", "adam_eps", "weight_decay"):
+            # each scales a float32 array, so it must be a float32 value
+            value = getattr(self, key)
+            if value > _FLOAT32_MAX:
+                raise ConfigError(
+                    f"{key} must be at most {_FLOAT32_MAX:.8g} (the float32 range), "
+                    f"got {value}"
+                )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+@dataclass
+class RunSettings:
+    """The stage configs of one run, built from the flat keys by
+    `settings_from_config` and mapped back by `run_config`. The data shape
+    is not a setting: it comes from the corpus's `DatasetMeta`."""
+
+    patch: PatchConfig
+    model: ModelConfig
+    loss: LossConfig
+    augment: AugmentConfig
+    train: TrainConfig
+    split: SplitPlan
+    keep_zeroed: bool = False
+
+    def __post_init__(self):
+        # a run has one seed: `run_config` stores it once, as `seed`
+        if self.train.seed != self.split.seed:
+            raise ConfigError(
+                f"train seed {self.train.seed} and split seed {self.split.seed} "
+                "differ; a run has one seed"
+            )
+        if self.keep_zeroed and self.loss.reconstruct_target == "masked":
+            raise ConfigError(
+                "mask.keep_zeroed only supports the visible reconstruction target"
+            )
+
+
+# The sections of the flat configuration: each stage config's fields are the
+# keys "<section>.<field>" of its section, in this order, except a `seed`
+# field, which takes the run-wide key `seed`.
+_SECTIONS = (
+    ("augment", AugmentConfig),
+    ("patch", PatchConfig),
+    ("model", ModelConfig),
+    ("loss", LossConfig),
+    ("train", TrainConfig),
+    ("split", SplitPlan),
+)
 
 _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
@@ -40,6 +131,9 @@ SCHEMA: dict[str, tuple[str, object]] = {
     "mask.keep_zeroed": ("bool", False),
     "model.init_seed": ("optional_int", None),
 }
+
+# the corpus shape a stored configuration carries besides SCHEMA's keys
+_DATA_FIELDS = ("T", "D", "num_classes")
 
 
 def defaults() -> dict:
@@ -173,6 +267,41 @@ def settings_from_config(cfg: dict, meta: DatasetMeta) -> RunSettings:
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
     return RunSettings(**built, keep_zeroed=cfg["mask.keep_zeroed"])
+
+
+def run_config(settings: RunSettings, meta: DatasetMeta) -> dict:
+    """The flat configuration of the settings that ran, on a corpus of shape
+    `meta`: what a checkpoint stores, and what `read_run_config` reads back.
+
+    Its keys are `SCHEMA`'s plus `data.T`, `data.D` and `data.num_classes`.
+    Each value is the one the run used, so `model.init_seed` holds the
+    resolved seed and a single-objective loss its forced weights. `seed` is
+    the run seed, which every stage shares.
+    """
+    config = {"seed": settings.train.seed}
+    for section, _ in _SECTIONS:
+        stage = getattr(settings, section)
+        for f in fields(stage):
+            if f.name != "seed":
+                config[f"{section}.{f.name}"] = getattr(stage, f.name)
+    config["mask.keep_zeroed"] = settings.keep_zeroed
+    for name in _DATA_FIELDS:
+        config[f"data.{name}"] = getattr(meta, name)
+    return config
+
+
+def read_run_config(config: dict) -> tuple[RunSettings, DatasetMeta]:
+    """The settings and corpus shape a stored configuration records, through
+    the path a config file takes: `run_config`'s inverse. A missing schema
+    key takes its default, a null `model.init_seed` the run seed."""
+    shape = {name: config.get(f"data.{name}") for name in _DATA_FIELDS}
+    for name, value in shape.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            got = type(value).__name__ if f"data.{name}" in config else "nothing"
+            raise ConfigError(f"stored key data.{name}: expected int, got {got}")
+    stored = {k: v for k, v in config.items() if not k.startswith("data.")}
+    meta = DatasetMeta(**shape)
+    return settings_from_config(resolve_config(None, stored, env={}), meta), meta
 
 
 def write_resolved(cfg: dict, out_dir) -> None:

@@ -1,6 +1,7 @@
 """Exception taxonomy shared across the toolkit.
 
-ConfigError and ParseError are user-facing (CLI exit code 1); ContractError
+ConfigError and ParseError are user-facing (CLI exit code 1), as is a training
+step that accepted settings take out of the float range; ContractError
 signals a violated internal precondition (CLI exit code 2).
 """
 

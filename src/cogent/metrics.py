@@ -1,7 +1,8 @@
 """Classification metrics and the silhouette score.
 
 All aggregates are macro averages: the metric is computed per class and the
-unweighted mean is reported. AUROC uses the rank statistic with ties counted
+unweighted mean is reported; a MetricReport holds only those means, the
+columns of the metrics CSVs. AUROC uses the rank statistic with ties counted
 as one half; AUPRC integrates the precision-recall curve stepwise over
 distinct score thresholds.
 """
@@ -23,7 +24,6 @@ class MetricReport:
     f1: float
     auroc: float
     auprc: float
-    per_class: dict[str, list[float]]
 
     def as_row(self) -> dict[str, float]:
         return {
@@ -137,13 +137,6 @@ def compute_metrics(
         f1=float(np.mean(f1)),
         auroc=float(np.mean(auroc)),
         auprc=float(np.mean(auprc)),
-        per_class={
-            "precision": precision,
-            "recall": recall,
-            "f1": f1,
-            "auroc": auroc,
-            "auprc": auprc,
-        },
     )
 
 

@@ -67,9 +67,7 @@ class ModelConfig:
 class ModelParams:
     tensors: dict[str, Tensor]
     pos: np.ndarray  # [n_patches + 1, d_model], fixed sinusoidal
-    d_model: int
-    n_heads: int
-    n_blocks: int
+    cfg: ModelConfig
     in_dim: int  # L * D
     n_patches: int
     meta: DatasetMeta  # the data shape the parameters are built for
@@ -233,13 +231,25 @@ def init_params(
     affine("clf.fc1", n_patches * dm, hidden)
     affine("clf.fc2", hidden, meta.num_classes)
 
+    return build_params(tensors, cfg, patch_cfg, meta, dtype)
+
+
+def build_params(
+    tensors: dict[str, Tensor],
+    cfg: ModelConfig,
+    patch_cfg: PatchConfig,
+    meta: DatasetMeta,
+    dtype=np.float32,
+) -> ModelParams:
+    """The one place a ModelParams is made: `tensors` (fresh from
+    `init_params`, or a checkpoint's) as the model `cfg` over `patch_cfg`'s
+    patches of a `meta`-shaped corpus, positional table in `dtype`."""
+    n_patches = patch_cfg.n_patches(meta.T)
     return ModelParams(
         tensors=tensors,
-        pos=sinusoid_table(n_patches + 1, dm, dtype),
-        d_model=dm,
-        n_heads=cfg.n_heads,
-        n_blocks=cfg.n_blocks,
-        in_dim=in_dim,
+        pos=sinusoid_table(n_patches + 1, cfg.d_model, dtype),
+        cfg=cfg,
+        in_dim=patch_cfg.L * meta.D,
         n_patches=n_patches,
         meta=meta,
     )
@@ -251,7 +261,7 @@ def _affine(x: Tensor, params: ModelParams, name: str) -> Tensor:
 
 def _attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     b, s, dm = x.shape
-    h = params.n_heads
+    h = params.cfg.n_heads
     hd = dm // h
     q = _affine(x, params, f"{prefix}.wq")
     k = _affine(x, params, f"{prefix}.wk")
@@ -299,11 +309,11 @@ def encode(tokens, token_idx: np.ndarray, params: ModelParams) -> Tensor:
     x = relu(_affine(tokens, params, "patch_proj"))
     x = x + Tensor(params.pos[token_idx + 1])
     dtype = params["cls_token"].data.dtype
-    cls = reshape(params["cls_token"], (1, 1, params.d_model)) + Tensor(
-        np.broadcast_to(params.pos[0], (b, 1, params.d_model)).astype(dtype).copy()
+    cls = reshape(params["cls_token"], (1, 1, params.cfg.d_model)) + Tensor(
+        np.broadcast_to(params.pos[0], (b, 1, params.cfg.d_model)).astype(dtype).copy()
     )
     x = concat([cls, x], axis=1)
-    for i in range(params.n_blocks):
+    for i in range(params.cfg.n_blocks):
         x = _transformer_block(x, params, f"enc.{i}")
     return x
 
@@ -355,7 +365,7 @@ def decode(
         x = concat([z[:, 0:1, :], placed + fill + pos_fill], axis=1)
     else:
         x = z
-    for i in range(params.n_blocks):
+    for i in range(params.cfg.n_blocks):
         x = _transformer_block(x, params, f"dec.{i}")
     return _affine(x[:, 1:, :], params, "dec_head")
 

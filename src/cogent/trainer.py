@@ -16,29 +16,32 @@ each view's loss terms carry the bits of a per-view, per-batch pass; the
 parameter gradients of a step sum both views' rows in one reduction.
 
 `patchmask` owns the token layout: each view is one `batch_patchify_mask`
-tuple (tokens, token_idx, masks, patches), and fine-tuning, validation,
-evaluation and export feed the encoder `patchify`'s all-patches layout.
-`evaluate` and `export_embeddings` rebuild the model and normalize the split
-in one shared step, then run the same forward, which yields the logits and
-the classifier's hidden layer together.
+tuple (tokens, token_idx, masks, patches); fine-tuning and inference feed
+the encoder `patchify`'s all-patches layout. Both stages take one optimizer
+step, which, like the sanity pass, runs with numpy's overflow, invalid and
+divide-by-zero results raised, so accepted settings that leave the float
+range end in a ConfigError naming the stage, epoch, batch and step settings.
+`evaluate` and `export_embeddings` rebuild the model from the settings
+`config.read_run_config` reads off the checkpoint and refuse samples that do
+not fit it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 
-from .augment import AugmentConfig, make_views_batch
+from .augment import make_views_batch
 from .checkpoint import ARCH_KEYS, Checkpoint, save_checkpoint
+from .config import RunSettings, TrainConfig, read_run_config, run_config
 from .data import (
     Corpus,
-    DatasetMeta,
-    SplitPlan,
     apply_normalization,
     make_batches,
     normalize,
@@ -46,9 +49,8 @@ from .data import (
     sample_finetune_subset,
     split_pretrain,
 )
-from .errors import ConfigError, ContractError
+from .errors import ConfigError
 from .losses import (
-    _FLOAT32_MAX,
     LossConfig,
     LossReport,
     balance_lambdas,
@@ -59,14 +61,13 @@ from .losses import (
 )
 from .metrics import MetricReport, compute_metrics, silhouette_score
 from .model import (
-    ModelConfig,
     ModelParams,
+    build_params,
     classify,
     decode,
     encode,
     init_params,
     project_head,
-    sinusoid_table,
 )
 from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, batch_patchify_mask, patchify
@@ -86,115 +87,6 @@ METRIC_CSV_HEADER = (
     "auroc",
     "auprc",
 )
-
-
-@dataclass
-class TrainConfig:
-    epochs_pretrain: int = 100
-    epochs_finetune: int = 20
-    batch_size: int = 16
-    lr_pretrain: float = 1e-3
-    lr_finetune: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.01
-    seed: int = 0
-    eval_every: int = 1
-
-    def __post_init__(self):
-        positive = {
-            "epochs_pretrain": self.epochs_pretrain,
-            "epochs_finetune": self.epochs_finetune,
-            "batch_size": self.batch_size,
-            "lr_pretrain": self.lr_pretrain,
-            "lr_finetune": self.lr_finetune,
-            "adam_eps": self.adam_eps,
-            "eval_every": self.eval_every,
-        }
-        for key, value in positive.items():
-            # the floats scale float32 arrays, so a float that rounds to 0
-            # there is not positive (min() keeps a large value's cast finite)
-            if not np.float32(min(value, 1.0)) > 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
-        for key, value in {"beta1": self.beta1, "beta2": self.beta2}.items():
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {value}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for key in ("lr_pretrain", "lr_finetune", "adam_eps", "weight_decay"):
-            # each scales a float32 array, so it must be a float32 value
-            value = getattr(self, key)
-            if value > _FLOAT32_MAX:
-                raise ConfigError(
-                    f"{key} must be at most {_FLOAT32_MAX:.8g} (the float32 range), "
-                    f"got {value}"
-                )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-
-@dataclass
-class RunSettings:
-    """The stage configs of one run, built from the flat keys by
-    `config.settings_from_config` and mapped back by `run_config`. The data
-    shape is not a setting: it comes from the corpus's `DatasetMeta`."""
-
-    patch: PatchConfig
-    model: ModelConfig
-    loss: LossConfig
-    augment: AugmentConfig
-    train: TrainConfig
-    split: SplitPlan
-    keep_zeroed: bool = False
-
-    def __post_init__(self):
-        # a run has one seed: `run_config` stores it once, as `seed`
-        if self.train.seed != self.split.seed:
-            raise ConfigError(
-                f"train seed {self.train.seed} and split seed {self.split.seed} "
-                "differ; a run has one seed"
-            )
-        if self.keep_zeroed and self.loss.reconstruct_target == "masked":
-            raise ConfigError(
-                "mask.keep_zeroed only supports the visible reconstruction target"
-            )
-
-
-# The sections of the flat configuration: each stage config's fields are the
-# keys "<section>.<field>" of its section, in this order, except a `seed`
-# field, which takes the run-wide key `seed`. `config.SCHEMA`,
-# `config.settings_from_config` and `run_config` all read this one table.
-_SECTIONS = (
-    ("augment", AugmentConfig),
-    ("patch", PatchConfig),
-    ("model", ModelConfig),
-    ("loss", LossConfig),
-    ("train", TrainConfig),
-    ("split", SplitPlan),
-)
-
-
-def run_config(settings: RunSettings, meta: DatasetMeta) -> dict:
-    """The flat configuration of the settings that ran, on a corpus of shape
-    `meta`: what a checkpoint stores.
-
-    Its keys are `config.SCHEMA`'s plus `data.T`, `data.D` and
-    `data.num_classes`. Each value is the one the run used, so
-    `model.init_seed` holds the resolved seed and a single-objective loss
-    its forced weights. `seed` is the run seed, which every stage shares.
-    """
-    config = {"seed": settings.train.seed}
-    for section, _ in _SECTIONS:
-        stage = getattr(settings, section)
-        for f in fields(stage):
-            if f.name != "seed":
-                config[f"{section}.{f.name}"] = getattr(stage, f.name)
-    config["mask.keep_zeroed"] = settings.keep_zeroed
-    config["data.T"] = meta.T
-    config["data.D"] = meta.D
-    config["data.num_classes"] = meta.num_classes
-    return config
 
 
 def _rng(*keys: int) -> np.random.Generator:
@@ -293,6 +185,42 @@ def _loss_parts(values, params, settings: RunSettings, rngs):
         [_views(values, settings, rngs)], params, settings.loss, settings.keep_zeroed
     )
     return parts
+
+
+@contextmanager
+def _finite(settings: RunSettings, stage: str, where: str):
+    """Raise numpy's overflow, invalid and divide-by-zero results, and report
+    one as a ConfigError (accepted settings left the float range) naming the
+    stage, `where` ("at epoch 3 batch 1") and the settings that scale a step."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as e:
+        lr = "lr_pretrain" if stage == "pretraining" else "lr_finetune"
+        names = [("train", lr), ("train", "weight_decay")]
+        if stage == "pretraining":
+            names += [("loss", "tau"), ("loss", "lambda_c"), ("loss", "lambda_r")]
+            names.append(("augment", "epsilon"))
+        scale = (f"{s}.{k}={getattr(getattr(settings, s), k)}" for s, k in names)
+        raise ConfigError(
+            f"{stage} turned non-finite {where} ({e}); the settings that "
+            f"scale a step: {', '.join(scale)}"
+        ) from None
+
+
+def _adam(params: ModelParams, tc: TrainConfig, lr: float):
+    """Fresh Adam state for `params`, and a stage's step at learning rate `lr`."""
+    cfg = AdamConfig(lr, tc.beta1, tc.beta2, tc.adam_eps, tc.weight_decay)
+    return AdamState.for_params(params), cfg
+
+
+def _step(loss: Tensor, params: ModelParams, adam_state, adam_cfg) -> None:
+    """One optimizer step on `loss`, the step both stages take, under `_finite`."""
+    if not math.isfinite(loss.item()):
+        raise FloatingPointError(f"loss {loss.item()}")
+    params.zero_grads()
+    loss.backward()
+    adam_step(params, adam_state, adam_cfg)
 
 
 def _snapshot(
@@ -396,7 +324,9 @@ def pretrain(
         raise ConfigError("pretraining requires batch_size >= 2")
     pre, sanity = split_pretrain(corpus.train, settings.split)
     pre, norm_mean, norm_std = normalize(pre)
-    sanity = _sanity_set(apply_normalization(sanity, norm_mean, norm_std), settings)
+    sanity = apply_normalization(sanity, norm_mean, norm_std)
+    with _finite(settings, "pretraining", "building the sanity split's views"):
+        sanity = _sanity_set(sanity, settings)
     proj_tokens = (
         settings.patch.n_patches(corpus.meta.T) if settings.keep_zeroed else None
     )
@@ -407,14 +337,7 @@ def pretrain(
         proj_tokens=proj_tokens,
         loss=settings.loss,
     )
-    adam_state = AdamState.for_params(params)
-    adam_cfg = AdamConfig(
-        lr=tc.lr_pretrain,
-        beta1=tc.beta1,
-        beta2=tc.beta2,
-        eps=tc.adam_eps,
-        weight_decay=tc.weight_decay,
-    )
+    adam_state, adam_cfg = _adam(params, tc, tc.lr_pretrain)
     lambdas: tuple[float, float] | None = None
     if settings.loss.mode != "cogent" or settings.loss.lambda_policy == "fixed":
         lambdas = (settings.loss.lambda_c, settings.loss.lambda_r)
@@ -432,21 +355,12 @@ def pretrain(
                 _rng(tc.seed, _MASK_ORIG, epoch, bi),
                 _rng(tc.seed, _MASK_AUG, epoch, bi),
             )
-            l_c, l_r_orig, l_r_aug, l_r = _loss_parts(
-                values, params, settings, rngs
-            )
-            if lambdas is None:
-                lambdas = balance_lambdas(l_c.item(), l_r.item())
-            total, report = joint_loss(
-                settings.loss, lambdas[0], lambdas[1], l_c, l_r_orig, l_r_aug, l_r
-            )
-            if not math.isfinite(report.total):
-                raise ContractError(
-                    f"non-finite pretraining loss at epoch {epoch} batch {bi}"
-                )
-            params.zero_grads()
-            total.backward()
-            adam_step(params, adam_state, adam_cfg)
+            with _finite(settings, "pretraining", f"at epoch {epoch} batch {bi}"):
+                parts = _loss_parts(values, params, settings, rngs)
+                if lambdas is None:
+                    lambdas = balance_lambdas(parts[0].item(), parts[3].item())
+                total, report = joint_loss(settings.loss, *lambdas, *parts)
+                _step(total, params, adam_state, adam_cfg)
             epoch_reports.append(report)
         if not epoch_reports:
             raise ConfigError(
@@ -454,7 +368,8 @@ def pretrain(
             )
         entry = _mean_report(epoch_reports)
         entry["epoch"] = epoch
-        sanity_total = _sanity_loss(sanity, params, settings, lambdas)
+        with _finite(settings, "pretraining", f"at epoch {epoch}'s sanity pass"):
+            sanity_total = _sanity_loss(sanity, params, settings, lambdas)
         entry["sanity_total"] = sanity_total
         log.append(entry)
         selection = sanity_total if sanity_total is not None else entry["total"]
@@ -503,35 +418,20 @@ def _write_loss_log(path, log: list[dict]) -> None:
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[ModelParams, PatchConfig]:
-    """Rebuild the fine-tuned model a checkpoint stores, for inference."""
+    """Rebuild the fine-tuned model a checkpoint stores, for inference, from
+    the settings and corpus shape its config records, and the all-patches
+    (theta = 0) layout the model reads."""
     if not ckpt.finetuned:
         raise ConfigError(
             "checkpoint has no trained classifier (a pretraining checkpoint); "
             "fine-tune it first"
         )
-    cfg = ckpt.config
-    dm = int(cfg["model.d_model"])
-    L = int(cfg["patch.L"])
-    meta = DatasetMeta(
-        T=int(cfg["data.T"]),
-        D=int(cfg["data.D"]),
-        num_classes=int(cfg["data.num_classes"]),
-    )
-    n_patches = meta.T // L
+    settings, meta = read_run_config(ckpt.config)
+    patch_cfg = replace(settings.patch, theta=0.0)
     # inference only reads the parameters, so they share the checkpoint's
     # arrays; its forward passes run under no_grad and build no graph
     tensors = {name: Tensor(arr) for name, arr in ckpt.params.items()}
-    params = ModelParams(
-        tensors=tensors,
-        pos=sinusoid_table(n_patches + 1, dm),
-        d_model=dm,
-        n_heads=int(cfg["model.n_heads"]),
-        n_blocks=int(cfg["model.n_blocks"]),
-        in_dim=L * meta.D,
-        n_patches=n_patches,
-        meta=meta,
-    )
-    return params, PatchConfig(L=L, theta=0.0)
+    return build_params(tensors, settings.model, patch_cfg, meta), patch_cfg
 
 
 def finetune(
@@ -579,27 +479,19 @@ def finetune(
             )
         for name in encoder:
             params.tensors[name].data = ckpt.params[name].astype(np.float32)
-    adam_state = AdamState.for_params(params)
-    adam_cfg = AdamConfig(
-        lr=tc.lr_finetune,
-        beta1=tc.beta1,
-        beta2=tc.beta2,
-        eps=tc.adam_eps,
-        weight_decay=tc.weight_decay,
-    )
+    adam_state, adam_cfg = _adam(params, tc, tc.lr_finetune)
     lambdas = (0.0, 0.0)  # self-supervised weights are not part of this stage
     best: tuple[float, Checkpoint, MetricReport] | None = None
     for epoch in range(tc.epochs_finetune):
-        for values, labels in make_batches(
-            subset, tc.batch_size, seed=tc.seed, epoch=epoch, drop_last=False
+        for bi, (values, labels) in enumerate(
+            make_batches(
+                subset, tc.batch_size, seed=tc.seed, epoch=epoch, drop_last=False
+            )
         ):
-            logits, _ = classify(encode(*patchify(values, ft_patch), params), params)
-            loss = cross_entropy(logits, labels)
-            if not math.isfinite(loss.item()):
-                raise ContractError(f"non-finite fine-tune loss at epoch {epoch}")
-            params.zero_grads()
-            loss.backward()
-            adam_step(params, adam_state, adam_cfg)
+            with _finite(settings, "fine-tuning", f"at epoch {epoch} batch {bi}"):
+                tokens = patchify(values, ft_patch)
+                logits, _ = classify(encode(*tokens, params), params)
+                _step(cross_entropy(logits, labels), params, adam_state, adam_cfg)
         if (epoch + 1) % tc.eval_every == 0 or epoch == tc.epochs_finetune - 1:
             report = _evaluate_params(params, ft_patch, val, tc.batch_size)
             if best is None or report.f1 > best[0]:
@@ -647,10 +539,19 @@ def _evaluate_params(params, patch_cfg, samples, batch_size) -> MetricReport:
 
 def _inference_inputs(ckpt: Checkpoint, samples):
     """The model a fine-tuned checkpoint stores, its patch layout, and a raw
-    split normalized with the checkpoint's statistics."""
+    split normalized with the checkpoint's statistics. Each sample must have
+    the stored corpus shape and one of its classes."""
     if not samples:
         raise ConfigError("cannot run a checkpoint on an empty split")
     params, patch_cfg = params_from_checkpoint(ckpt)
+    meta = params.meta
+    for i, s in enumerate(samples):
+        if s.values.shape != (meta.T, meta.D) or not 0 <= s.label < meta.num_classes:
+            raise ConfigError(
+                f"sample {i} (shape {s.values.shape}, label {s.label}) does not "
+                f"fit the checkpoint: shape ({meta.T}, {meta.D}), "
+                f"{meta.num_classes} classes"
+            )
     normed = apply_normalization(
         samples,
         np.array(ckpt.norm_mean, dtype=np.float32),

@@ -21,19 +21,12 @@ import pytest
 from cogent.augment import AugmentConfig
 from cogent.checkpoint import load_checkpoint, save_checkpoint
 from cogent.data import DatasetMeta, SplitPlan, gen_synthetic
-from cogent.gradcheck import joint_loss_gradient_errors
+from cogent.config import RunSettings, TrainConfig
 from cogent.losses import LossConfig
 from cogent.model import ModelConfig
 from cogent.patchmask import PatchConfig
-from cogent.selfcheck import CHECKS
-from cogent.trainer import (
-    RunSettings,
-    TrainConfig,
-    evaluate,
-    finetune,
-    pretrain,
-    run_ablation,
-)
+from cogent.selfcheck import CHECKS, joint_loss_gradient_errors
+from cogent.trainer import evaluate, finetune, pretrain, run_ablation
 
 SEEDS = (0, 1, 2)
 ORACLES = dict(CHECKS)

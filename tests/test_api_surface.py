@@ -71,3 +71,35 @@ def test_no_module_imports_scipy():
             if any(n.split(".")[0] == "scipy" for n in names):
                 importers.append(path.name)
     assert importers == []
+
+
+def module_trees():
+    return {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in SRC.glob("*.py")
+    }
+
+
+def test_config_does_not_import_the_training_stack():
+    # the flat keys are the contract between the stages, so the module that
+    # owns them sits below everything that trains, checks or parses argv
+    imported = set()
+    for node in ast.walk(module_trees()["config.py"]):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module] if node.module else []
+            imported.update(m.split(".")[-1] for m in modules)
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert imported & {"trainer", "cli", "selfcheck"} == set()
+
+
+def test_only_model_builds_model_params():
+    builders = {
+        name
+        for name, tree in module_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ModelParams"
+    }
+    assert builders == {"model.py"}

@@ -73,6 +73,25 @@ class TestGenSynthetic:
         assert not (tmp_path / "c").exists()
 
 
+# in-range settings whose products overflow a micro training step
+OVERFLOWING_STEPS = (
+    [("pretrain", ["--loss.tau", "1e-38"])]
+    + [
+        ("pretrain", ["--loss.lambda_policy", "fixed", f"--loss.{key}", "1e30"])
+        for key in ("lambda_c", "lambda_r")
+    ]
+    + [
+        (command, [f"--{key}", "1e30"])
+        for command, keys in (
+            ("pretrain", ("train.lr_pretrain", "train.weight_decay")),
+            ("pretrain", ("augment.epsilon",)),
+            ("finetune", ("train.lr_finetune", "train.weight_decay")),
+        )
+        for key in keys
+    ]
+)
+
+
 class TestPretrainCommand:
     def test_outputs(self, pretrain_dir):
         assert (pretrain_dir / "best.ckpt").is_file()
@@ -224,6 +243,37 @@ class TestPretrainCommand:
         assert err.startswith("error: invalid configuration")
         assert key.split(".")[1] in err and "Traceback" not in err
         assert not (tmp_path / "best.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "command, args",
+        OVERFLOWING_STEPS,
+        ids=[f"{command}-{args[-2][2:]}" for command, args in OVERFLOWING_STEPS],
+    )
+    def test_step_that_leaves_the_float_range_exits_1(
+        self, tmp_path, capsys, command, args
+    ):
+        # in-range settings whose product overflows a training step: a user
+        # error naming the stage, the epoch and the settings, not a crash
+        data = tmp_path / "micro"
+        assert main(["gen-synthetic", "--out", str(data), "--T", "32",
+                     "--per-class", "8"]) == 0
+        micro = [
+            "--patch.L", "8", "--model.d_model", "8", "--model.n_heads", "2",
+            "--model.mlp_ratio", "2", "--model.proj_dim", "4",
+            "--train.epochs_pretrain", "2", "--train.epochs_finetune", "2",
+            "--train.batch_size", "4",
+        ]
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--data", str(data), "--out", str(out)] + micro + args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        stage = {"pretrain": "pretraining", "finetune": "fine-tuning"}[command]
+        assert err.startswith(f"error: {stage} turned non-finite at epoch ")
+        assert f"{args[-2][2:]}={float(args[-1])!r}" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.ckpt"))
 
     @pytest.mark.parametrize(
         "content, message",

@@ -4,13 +4,21 @@ import json
 import pytest
 
 from cogent.augment import AugmentConfig
-from cogent.config import SCHEMA, _coerce, defaults, resolve_config, settings_from_config
+from cogent.config import (
+    SCHEMA,
+    TrainConfig,
+    _coerce,
+    defaults,
+    read_run_config,
+    resolve_config,
+    run_config,
+    settings_from_config,
+)
 from cogent.data import DatasetMeta, SplitPlan
 from cogent.errors import ConfigError
 from cogent.losses import LossConfig
 from cogent.model import ModelConfig
 from cogent.patchmask import PatchConfig
-from cogent.trainer import TrainConfig, run_config
 
 STAGES = {
     "augment": AugmentConfig,
@@ -210,6 +218,53 @@ class TestRunConfig:
         assert (config["data.T"], config["data.D"], config["data.num_classes"]) == (
             96, 2, 3
         )
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_read_run_config_inverts_it(self, case):
+        # a stored config carries the corpus shape, not the corpus's name
+        _, settings, config = self.derived(self.CASES[case])
+        shape = DatasetMeta(T=96, D=2, num_classes=3)
+        assert read_run_config(config) == (settings, shape)
+
+    def test_stored_config_missing_a_schema_key_takes_its_default(self):
+        _, settings, config = self.derived({"loss.tau": "0.3"})
+        del config["loss.tau"]
+        read, _ = read_run_config(config)
+        assert read.loss.tau == SCHEMA["loss.tau"][1] == 0.2
+        assert read == dataclasses.replace(
+            settings, loss=dataclasses.replace(settings.loss, tau=0.2)
+        )
+
+    def test_stored_null_init_seed_takes_the_run_seed(self):
+        # an older checkpoint stored the unresolved null
+        _, settings, config = self.derived({"seed": "11"})
+        config["model.init_seed"] = None
+        read, _ = read_run_config(config)
+        assert read.model.init_seed == 11 and read == settings
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("model.d_model", 8.5),
+            ("mask.keep_zeroed", 1),
+            ("loss.mode", 3),
+            ("data.T", None),
+            ("data.D", 2.0),
+            ("data.num_classes", "3"),
+            ("data.T", True),
+        ],
+    )
+    def test_stored_key_of_the_wrong_type_is_a_config_error(self, key, value):
+        _, _, config = self.derived({})
+        config[key] = value
+        with pytest.raises(ConfigError, match=f"{key}: expected"):
+            read_run_config(config)
+
+    def test_stored_config_missing_the_corpus_shape_is_a_config_error(self):
+        _, _, config = self.derived({})
+        del config["data.T"]
+        with pytest.raises(ConfigError, match="data.T: expected int, got nothing"):
+            read_run_config(config)
 
     def test_differing_stage_seeds_rejected(self):
         # the stored config has one seed, so a run may not have two

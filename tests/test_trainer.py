@@ -7,15 +7,21 @@ import pytest
 from cogent import trainer
 from cogent.augment import AugmentConfig
 from cogent.checkpoint import load_checkpoint, save_checkpoint
-from cogent.data import Corpus, DatasetMeta, SplitPlan, gen_synthetic, split_pretrain
+from cogent.data import (
+    Corpus,
+    DatasetMeta,
+    SplitPlan,
+    TimeSeriesSample,
+    gen_synthetic,
+    split_pretrain,
+)
 from cogent.errors import ConfigError
 from cogent.losses import LossConfig, joint_loss
 from cogent.model import ModelConfig, classify, encode, init_params
 from cogent.patchmask import PatchConfig
+from cogent.config import RunSettings, TrainConfig
 from cogent.trainer import (
     _loss_parts,
-    RunSettings,
-    TrainConfig,
     evaluate,
     export_embeddings,
     finetune,
@@ -450,6 +456,44 @@ class TestEvaluateAndExport:
         header = (tmp_path / "emb.csv").read_text().splitlines()[0]
         assert header.startswith("label,dim0,")
         assert float((tmp_path / "sil.txt").read_text()) == pytest.approx(score)
+
+    @pytest.fixture(scope="class")
+    def tiny_tuned(self, tmp_path_factory):
+        # T=32, L=8, D=1, 3 classes: the classifier reads exactly 4 patches
+        meta = DatasetMeta(T=32, D=1, num_classes=3, name="tiny")
+        tiny = gen_synthetic(tmp_path_factory.mktemp("tiny"), meta, per_class=8)
+        settings = RunSettings(
+            patch=PatchConfig(L=8),
+            model=ModelConfig(d_model=8, n_heads=2, mlp_ratio=2, proj_dim=4),
+            loss=LossConfig(),
+            augment=AugmentConfig(),
+            train=TrainConfig(epochs_finetune=1, batch_size=4),
+            split=SplitPlan(),
+        )
+        tuned, _ = finetune(None, tiny, settings)
+        return tuned
+
+    @pytest.mark.parametrize(
+        "shape, label, message",
+        [
+            ((40, 1), 0, r"\(shape \(40, 1\), label 0\)"),
+            ((32, 2), 0, r"\(shape \(32, 2\), label 0\)"),
+            ((24, 1), 0, r"\(shape \(24, 1\), label 0\)"),
+            ((32, 1), 5, r"\(shape \(32, 1\), label 5\)"),
+        ],
+        ids=["longer", "wider", "shorter", "unknown-label"],
+    )
+    def test_samples_that_do_not_fit_the_checkpoint_refused(
+        self, tiny_tuned, shape, label, message
+    ):
+        # a user error naming the sample, before any forward pass
+        samples = [
+            TimeSeriesSample(np.zeros((32, 1), np.float32), 0),
+            TimeSeriesSample(np.zeros(shape, np.float32), label),
+        ]
+        for run in (evaluate, export_embeddings):
+            with pytest.raises(ConfigError, match="sample 1 " + message):
+                run(tiny_tuned, samples)
 
 
 class TestAblation:
