@@ -299,7 +299,8 @@ def read_run_config(config: dict) -> tuple[RunSettings, DatasetMeta]:
         if isinstance(value, bool) or not isinstance(value, int):
             got = type(value).__name__ if f"data.{name}" in config else "nothing"
             raise ConfigError(f"stored key data.{name}: expected int, got {got}")
-    stored = {k: v for k, v in config.items() if not k.startswith("data.")}
+    data_keys = {f"data.{name}" for name in _DATA_FIELDS}
+    stored = {k: v for k, v in config.items() if k not in data_keys}
     meta = DatasetMeta(**shape)
     return settings_from_config(resolve_config(None, stored, env={}), meta), meta
 

@@ -20,8 +20,8 @@ import pytest
 
 from cogent.augment import AugmentConfig
 from cogent.checkpoint import load_checkpoint, save_checkpoint
-from cogent.data import DatasetMeta, SplitPlan, gen_synthetic
 from cogent.config import RunSettings, TrainConfig
+from cogent.data import DatasetMeta, SplitPlan, gen_synthetic
 from cogent.losses import LossConfig
 from cogent.model import ModelConfig
 from cogent.patchmask import PatchConfig
