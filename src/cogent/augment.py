@@ -83,9 +83,4 @@ def make_views_batch(
     """
     if cfg.kind == "jitter":
         return jitter(values, cfg.epsilon, rng)
-    return np.stack(
-        [
-            make_view(TimeSeriesSample(values=v, label=0), cfg, rng).values
-            for v in values
-        ]
-    )
+    return np.stack([time_mask(v, cfg.mask_fraction, rng) for v in values])

@@ -284,8 +284,12 @@ def gen_synthetic(
         )
     if per_class < 1:
         raise ConfigError(f"per_class must be >= 1, got {per_class}")
-    if sigma < 0:
-        raise ConfigError(f"sigma must be >= 0, got {sigma}")
+    # sigma scales float32 noise, so it must be a float32 value
+    top = float(np.finfo(np.float32).max)
+    if not 0 <= sigma <= top:
+        raise ConfigError(
+            f"sigma must be in [0, {top:.8g}] (the float32 range), got {sigma}"
+        )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -7,7 +7,10 @@ Architecture notes pinned here rather than in config:
   * fixed sinusoidal positional table, row 0 reserved for the cls token;
   * the projection head and the classifier both consume the concatenation of
     patch embeddings (the cls token aggregates via attention only);
-  * the decoder runs at full width and mirrors the encoder block stack.
+  * the decoder runs at full width and mirrors the encoder block stack;
+  * the key projection has no bias: it would add the same q.b to every score
+    of a row, which softmax cancels, so it could neither change an output
+    nor receive more than a rounding-noise gradient.
 """
 
 from __future__ import annotations
@@ -169,10 +172,11 @@ def init_params(
     module is drawn from one stream in a fixed order and the unused ones are
     not stored, so a kept tensor starts the same whichever stage builds it.
 
-    Affine weights are truncated-normal (std 0.02), biases zero, layer-norm
-    gain 1 / bias 0, cls and mask tokens normal (std 0.02). `proj_tokens`
-    overrides how many patch embeddings the projection head consumes (the
-    zeroed-token form feeds it all N patches instead of the visible count).
+    Affine weights are truncated-normal (std 0.02), biases zero (the
+    attention key projection has none), layer-norm gain 1 / bias 0, cls and
+    mask tokens normal (std 0.02). `proj_tokens` overrides how many patch
+    embeddings the projection head consumes (the zeroed-token form feeds it
+    all N patches instead of the visible count).
     """
     n_patches = patch_cfg.n_patches(meta.T)
     n_visible = patch_cfg.n_visible(meta.T) if proj_tokens is None else proj_tokens
@@ -199,9 +203,12 @@ def init_params(
         if kept(name):
             tensors[name] = Tensor(data, requires_grad=True)
 
-    def affine(name: str, n_in: int, n_out: int) -> None:
+    def weight(name: str, n_in: int, n_out: int) -> None:
         w = _trunc_normal(rng, (n_in, n_out), 0.02, dtype, keep=kept(name))
         keep(f"{name}.w", w)
+
+    def affine(name: str, n_in: int, n_out: int) -> None:
+        weight(name, n_in, n_out)
         keep(f"{name}.b", np.zeros(n_out, dtype=dtype))
 
     def norm(name: str) -> None:
@@ -211,7 +218,7 @@ def init_params(
     def block(prefix: str) -> None:
         norm(f"{prefix}.ln1")
         affine(f"{prefix}.attn.wq", dm, dm)
-        affine(f"{prefix}.attn.wk", dm, dm)
+        weight(f"{prefix}.attn.wk", dm, dm)
         affine(f"{prefix}.attn.wv", dm, dm)
         affine(f"{prefix}.attn.wo", dm, dm)
         norm(f"{prefix}.ln2")
@@ -264,7 +271,7 @@ def _attention(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
     h = params.cfg.n_heads
     hd = dm // h
     q = _affine(x, params, f"{prefix}.wq")
-    k = _affine(x, params, f"{prefix}.wk")
+    k = matmul(x, params[f"{prefix}.wk.w"])
     v = _affine(x, params, f"{prefix}.wv")
     q = transpose(reshape(q, (b, s, h, hd)), (0, 2, 1, 3))
     k = transpose(reshape(k, (b, s, h, hd)), (0, 2, 1, 3))

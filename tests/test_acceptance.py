@@ -2,11 +2,11 @@
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines
 in a passing run. Criterion 1's line, which gives its elapsed seconds next to
-the 60 s bound, shows in every run, `-s` or not. Criteria 2, 3, 7 and 9 run their oracle from the
-`cogent.selfcheck` table (`cogent selfcheck` runs the same code), so each
-oracle exists once. The training-based criteria share module-scoped
-fixtures; every run here is deterministic, so the asserted margins are
-frozen, not statistical.
+the 60 s bound and its worst tensor's error, shows in every run, `-s` or not.
+Criteria 2, 3, 7 and 9 run their oracle from the `cogent.selfcheck` table
+(`cogent selfcheck` runs the same code), so each oracle exists once. The
+training-based criteria share module-scoped fixtures; every run here is
+deterministic, so the asserted margins are frozen, not statistical.
 """
 
 import subprocess
@@ -94,9 +94,10 @@ def test_criterion_1_gradient_integrity(capsys):
         errors = joint_loss_gradient_errors(seed=0, h=1e-3)
         elapsed = time.time() - start
         notes.append(f"{elapsed:.1f} s of the 60 s bound")
-        worst = max(errors.values())
-        assert worst < 1e-3, f"worst per-tensor gradient error {worst}"
-        assert len(errors) == 74  # every pretraining parameter tensor was checked
+        name, worst = max(errors.items(), key=lambda item: item[1])
+        notes.append(f"worst {worst:.1e} at {name}")
+        assert worst < 1e-3, f"worst per-tensor gradient error {worst} at {name}"
+        assert len(errors) == 69  # every tensor the micro loss reads was checked
         assert elapsed < 60.0, f"gradient suite took {elapsed:.1f}s"
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cogent import selfcheck
+from cogent.checkpoint import load_checkpoint, save_checkpoint
 from cogent.cli import main
 from cogent.config import SCHEMA
 from cogent.data import load_corpus
@@ -64,7 +65,9 @@ class TestGenSynthetic:
         assert corpus.meta.num_classes == 3
 
     @pytest.mark.parametrize(
-        "flag, value", [("--per-class", "0"), ("--sigma", "-0.5")]
+        "flag, value",
+        [("--per-class", "0")]
+        + [("--sigma", v) for v in ("-0.5", "inf", "nan", "1e39")],
     )
     def test_bad_generator_setting_exits_1(self, flag, value, tmp_path, capsys):
         rc = main(["gen-synthetic", "--out", str(tmp_path / "c"), flag, value])
@@ -416,6 +419,53 @@ class TestFinetuneEvaluateExport:
         )
         assert rc == 1
         assert "already fine-tuned" in capsys.readouterr().err
+
+    def test_checkpoints_with_a_key_bias_still_work(
+        self, corpus_dir, pretrain_dir, finetune_dir, tmp_path
+    ):
+        # checkpoints written while attention had a key bias `attn.wk.b`
+        # carry it; softmax cancels it, so every stage ignores it
+        rng = np.random.default_rng(0)
+
+        def with_key_bias(path):
+            ckpt = load_checkpoint(path)
+            for i in range(2):  # the default n_blocks
+                shape = ckpt.params[f"enc.{i}.attn.wq.b"].shape
+                ckpt.params[f"enc.{i}.attn.wk.b"] = rng.normal(size=shape).astype(
+                    np.float32
+                )
+            old = tmp_path / f"old-{path.name}"
+            save_checkpoint(ckpt, old)
+            return old
+
+        old_pre = with_key_bias(pretrain_dir / "best.ckpt")
+        old_tuned = with_key_bias(finetune_dir / "finetuned.ckpt")
+        rc = main(
+            [
+                "finetune",
+                "--data", str(corpus_dir),
+                "--out", str(tmp_path / "ft"),
+                "--from", str(old_pre),
+                "--label-ratio", "0.3",
+            ]
+            + SMALL
+        )
+        assert rc == 0
+        tuned = load_checkpoint(tmp_path / "ft" / "finetuned.ckpt").params
+        expect = load_checkpoint(finetune_dir / "finetuned.ckpt").params
+        assert tuned.keys() == expect.keys()  # no wk.b
+        for name in expect:
+            np.testing.assert_array_equal(tuned[name], expect[name])
+        outputs = []
+        for ckpt in (finetune_dir / "finetuned.ckpt", old_tuned):
+            out = tmp_path / ckpt.stem
+            for command in ("evaluate", "export-embeddings"):
+                args = [command, "--from", str(ckpt), "--data", str(corpus_dir)]
+                assert main(args + ["--split", "test", "--out", str(out)]) == 0
+            outputs.append(
+                [(out / f).read_text() for f in ("metrics_test.csv", "embeddings.csv")]
+            )
+        assert outputs[0] == outputs[1]
 
     def test_truncated_checkpoint_exits_1(
         self, corpus_dir, finetune_dir, tmp_path, capsys

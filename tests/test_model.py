@@ -108,7 +108,7 @@ class TestInitParams:
         n, v = 20, 5
         hidden = round(0.10 * n * dm)  # 1024
         block = (
-            4 * (dm * dm + dm)  # q, k, v, o projections
+            4 * dm * dm + 3 * dm  # q, k, v, o projections; k has no bias
             + 2 * 2 * dm  # two layer norms
             + (dm * 4 * dm + 4 * dm)  # mlp in
             + (4 * dm * dm + dm)  # mlp out
