@@ -3,7 +3,7 @@ classification: joint contrastive + masked-reconstruction pretraining over a
 shared transformer encoder, the single-objective baselines, fine-tuning, and
 a full evaluation suite."""
 
-from .augment import AugmentConfig, jitter, make_view, time_mask
+from .augment import AugmentConfig, jitter, time_mask
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import RunSettings, TrainConfig, resolve_config, settings_from_config
 from .data import (

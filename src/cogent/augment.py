@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TimeSeriesSample
 from .errors import ConfigError
 from .losses import _FLOAT32_MAX
 
@@ -57,18 +56,6 @@ def time_mask(
         idx = rng.choice(T, size=k, replace=False)
         out[idx, :] = 0.0
     return out
-
-
-def make_view(
-    sample: TimeSeriesSample, cfg: AugmentConfig, rng: np.random.Generator
-) -> TimeSeriesSample:
-    if cfg.kind == "jitter":
-        values = jitter(sample.values, cfg.epsilon, rng)
-    elif cfg.kind == "time_mask":
-        values = time_mask(sample.values, cfg.mask_fraction, rng)
-    else:  # unreachable after config validation
-        raise ConfigError(f"unknown augmentation kind {cfg.kind!r}")
-    return TimeSeriesSample(values=values, label=sample.label)
 
 
 def make_views_batch(

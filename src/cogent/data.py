@@ -290,8 +290,6 @@ def gen_synthetic(
         raise ConfigError(
             f"sigma must be in [0, {top:.8g}] (the float32 range), got {sigma}"
         )
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     t = np.arange(meta.T, dtype=np.float64) / meta.T
 
@@ -318,12 +316,18 @@ def gen_synthetic(
         return samples
 
     n_eval = max(1, round(per_class * 0.5))
-    corpus = Corpus(
-        meta=meta,
-        train=make_samples(per_class),
-        val=make_samples(n_eval),
-        test=make_samples(n_eval),
-    )
+    try:
+        with np.errstate(over="raise"):
+            corpus = Corpus(
+                meta=meta,
+                train=make_samples(per_class),
+                val=make_samples(n_eval),
+                test=make_samples(n_eval),
+            )
+    except FloatingPointError:
+        raise ConfigError(
+            f"sigma {sigma} overflows the float32 noise; use a smaller sigma"
+        ) from None
     save_corpus(out_dir, corpus)
     return corpus
 

@@ -110,15 +110,25 @@ class LossReport:
     total: float
 
 
-def patch_reconstruction_term(p_hat: Tensor, p: Tensor) -> Tensor:
-    """Mean over patches of the squared L2 distance ||p_hat - p||^2."""
+def patch_reconstruction_term(
+    p_hat: Tensor, p: Tensor, weights: np.ndarray | None = None
+) -> Tensor:
+    """Mean over patches of the squared L2 distance ||p_hat - p||^2.
+
+    With `weights` ([B, N], 1 for a scored patch and 0 otherwise), only the
+    scored patches count, in the sum and in the patch count.
+    """
     if p_hat.shape != p.shape:
         raise ContractError(
             f"reconstruction shapes disagree: {p_hat.shape} vs {p.shape}"
         )
-    b, v = p.shape[0], p.shape[1]
     d = p_hat - p
-    return tsum(d * d) * (1.0 / (b * v))
+    if weights is None:
+        count = p.shape[0] * p.shape[1]
+    else:
+        d = d * Tensor(weights[:, :, None].astype(p_hat.data.dtype))
+        count = int(np.count_nonzero(weights))
+    return tsum(d * d) * (1.0 / count)
 
 
 def contrastive_loss(

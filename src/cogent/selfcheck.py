@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import losses, trainer
-from .augment import AugmentConfig, jitter, make_view, time_mask
+from .augment import AugmentConfig, jitter, time_mask
 from .config import RunSettings, TrainConfig
 from .data import DatasetMeta, SplitPlan, TimeSeriesSample, gen_synthetic
 from .losses import (
@@ -46,19 +46,15 @@ from .tensor import (
     exp,
     finite_diff_check,
     gelu,
-    l2_normalize,
     layer_norm,
-    log,
-    logsumexp,
     matmul,
     no_grad,
-    reshape,
     softmax,
     sqrt,
     tmean,
     tsum,
 )
-from .trainer import _loss_parts, _masked_recon_term, _stacked_terms, pretrain
+from .trainer import _loss_parts, _stacked_terms, pretrain
 
 
 @dataclass
@@ -150,25 +146,12 @@ def _primitive_softmax(a: Tensor, axis: int) -> Tensor:
     return e / tsum(e, axis=axis, keepdims=True)
 
 
-def _primitive_logsumexp(a: Tensor, axis: int, keepdims: bool) -> Tensor:
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = exp(a - Tensor(shift))
-    out = log(tsum(e, axis=axis, keepdims=True)) + Tensor(shift)
-    if not keepdims:
-        out = reshape(out, np.squeeze(out.data, axis=axis).shape)
-    return out
-
-
 def _primitive_layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     mu = tmean(x, axis=-1, keepdims=True)
     centered = x - mu
     var = tmean(centered * centered, axis=-1, keepdims=True)
     inv = Tensor(np.asarray(1.0, dtype=x.dtype)) / sqrt(var + 1e-5)
     return centered * inv * gamma + beta
-
-
-def _primitive_l2_normalize(x: Tensor, axis: int) -> Tensor:
-    return x / sqrt(tsum(x * x, axis=axis, keepdims=True) + 1e-12)
 
 
 def _fusion_oracle():
@@ -178,10 +161,6 @@ def _fusion_oracle():
         (layer_norm, _primitive_layer_norm, {}),
         (softmax, _primitive_softmax, {"axis": -1}),
         (softmax, _primitive_softmax, {"axis": 1}),
-        (logsumexp, _primitive_logsumexp, {"axis": -1, "keepdims": True}),
-        (logsumexp, _primitive_logsumexp, {"axis": 0, "keepdims": False}),
-        (l2_normalize, _primitive_l2_normalize, {"axis": -1}),
-        (l2_normalize, _primitive_l2_normalize, {"axis": 0}),
     )
     labels = ("values", "x gradient", "gamma gradient", "beta gradient")
     for dtype in (np.float32, np.float64):
@@ -276,6 +255,15 @@ def _recon_oracle():
     aug = Tensor(np.array([[[3.0, 4.0]]], np.float32))
     assert patch_reconstruction_term(p_hat, p).item() == 5.0  # 1 + 4
     assert patch_reconstruction_term(aug, aug).item() == 0.0
+    # two samples of two patches, one scored in each: (1 + 4 + 49 + 64) / 2,
+    # and the gradient is p_hat - p on the scored patches, 0 elsewhere
+    p = Tensor(np.arange(1.0, 9.0, dtype=np.float32).reshape(2, 2, 2))
+    p_hat = Tensor(np.zeros((2, 2, 2), np.float32), requires_grad=True)
+    term = patch_reconstruction_term(p_hat, p, np.array([[1, 0], [0, 1]]))
+    assert term.item() == 59.0, f"weighted term {term.item()}, expected 59"
+    term.backward()
+    expect = [[[-1.0, -2.0], [0.0, 0.0]], [[0.0, 0.0], [-7.0, -8.0]]]
+    assert np.array_equal(p_hat.grad, expect), f"weighted gradient {p_hat.grad}"
 
 
 def _lambda_oracle():
@@ -527,23 +515,23 @@ def _per_view_loss_parts(values, params, settings: RunSettings, rngs):
         return batch, tokens, idx, masks, encode(tokens, idx, params)
 
     def reconstruction(batch, tokens, idx, masks, z):
-        n = masks.shape[1]
-        v = settings.patch.n_visible(batch.shape[1])
         if cfg.reconstruct_target == "masked":
             patches, _ = patchify(batch, settings.patch)
             p_hat = decode(z, idx, params, masks=masks)
-            return _masked_recon_term(p_hat, patches, 1 - masks, n - v)
+            return patch_reconstruction_term(p_hat, Tensor(patches), 1 - masks)
         p_hat = decode(z, idx, params)
-        if settings.keep_zeroed:
-            return _masked_recon_term(p_hat, tokens, masks, v)
-        return patch_reconstruction_term(p_hat, Tensor(tokens))
+        weights = masks if settings.keep_zeroed else None
+        return patch_reconstruction_term(p_hat, Tensor(tokens), weights)
 
     orig = forward(values, rng_mask_o)
     aug = None
     if cfg.needs_aug_view:
+        aug_cfg = settings.augment
         augmented = np.stack(
             [
-                make_view(TimeSeriesSample(v, 0), settings.augment, rng_aug).values
+                jitter(v, aug_cfg.epsilon, rng_aug)
+                if aug_cfg.kind == "jitter"
+                else time_mask(v, aug_cfg.mask_fraction, rng_aug)
                 for v in values
             ]
         )

@@ -19,11 +19,13 @@ and gradient then runs in float64.
 rounded to the storage dtype, so in float32 it is bit-identical to scipy's
 erf. The forward pass runs in blocks that keep the float64 scratch in cache.
 
-`layer_norm`, `softmax`, `logsumexp` and `l2_normalize` are each a single
-graph node. Their forward pass and backward closure replay the numpy
-arithmetic of the primitive graph they replace (add/sub/mul/div,
-tsum/tmean, exp/log/sqrt) in its order, so values and gradients are
-bit-identical to it; `selfcheck` holds those graphs and checks this.
+`layer_norm` and `softmax` are each a single graph node, kept because they
+are measurably faster than their graphs. Their forward pass and backward
+closure replay the numpy arithmetic of the primitive graph they replace
+(add/sub/mul/div, tsum/tmean, exp/sqrt) in its order, so values and
+gradients are bit-identical to it; `selfcheck` holds those graphs and checks
+this. `logsumexp` and `l2_normalize` are plain compositions of primitive
+ops: fused, they gained nothing measurable.
 
 Gradient accumulation is additive: callers must zero gradients between
 optimization steps. The first gradient of a pass is written as 0 + g, into
@@ -200,26 +202,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return tslice(self, key)
 
-    def reshape(self, *shape):
-        return reshape(self, *shape)
-
     def transpose(self, *axes):
         return transpose(self, *axes)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
 
 def _needs_grad(t: Tensor) -> bool:
@@ -325,11 +312,6 @@ def div(a, b) -> Tensor:
         )
 
     return _result(data, (a, b), backward)
-
-
-def neg(a) -> Tensor:
-    a = _coerce(a)
-    return _result(-a.data, (a,), lambda g: ((a, -g),))
 
 
 # -- structural ops ----------------------------------------------------------
@@ -677,6 +659,25 @@ def sqrt(a) -> Tensor:
     return _result(data, (a,), backward)
 
 
+# -- compositions of primitive ops ------------------------------------------
+
+
+def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
+    """Stable log-sum-exp; the max shift is treated as a constant."""
+    a = _coerce(a)
+    shift = Tensor(np.max(a.data, axis=axis, keepdims=True))
+    out = log(tsum(exp(a - shift), axis=axis, keepdims=True)) + shift
+    if not keepdims:
+        out = reshape(out, np.squeeze(out.data, axis=axis).shape)
+    return out
+
+
+def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
+    """Scale rows along `axis` to unit Euclidean norm."""
+    x = _coerce(x)
+    return x / sqrt(tsum(x * x, axis=axis, keepdims=True) + eps)
+
+
 # -- fused ops (one node each; see the module docstring) -----------------------
 #
 # Where pieces of gradient meet in an intermediate array, they are summed in
@@ -685,41 +686,20 @@ def sqrt(a) -> Tensor:
 # input's other gradients in that order too.
 
 
-def _sum_kept(a: np.ndarray, axis) -> np.ndarray:
-    """`tsum(a, axis, keepdims=True)`'s values."""
-    return a.sum(axis=axis, keepdims=True, dtype=np.float64).astype(a.dtype)
-
-
 def softmax(a, axis: int = -1) -> Tensor:
     """Max-shifted softmax along `axis`; output sums to 1 along the axis."""
     a = _coerce(a)
     if not -a.ndim <= axis < a.ndim:
         raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
     e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
-    total = _sum_kept(e, axis)
+    # tsum(e, axis, keepdims=True)'s values
+    total = e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(e.dtype)
     data = e / total
 
     def backward(g):
         g_total = _unbroadcast(-g * e / (total * total), total.shape)
         g_e = g / total + np.broadcast_to(g_total, e.shape)
         return ((a, g_e * e),)
-
-    return _result(data, (a,), backward)
-
-
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable log-sum-exp; the max shift is treated as a constant."""
-    a = _coerce(a)
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = np.exp(a.data - shift)
-    total = _sum_kept(e, axis)
-    data = np.log(total) + shift
-    if not keepdims:
-        data = np.squeeze(data, axis=axis)
-
-    def backward(g):
-        g_total = g.reshape(total.shape) / total
-        return ((a, np.broadcast_to(g_total, e.shape) * e),)
 
     return _result(data, (a,), backward)
 
@@ -761,21 +741,6 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         )
 
     return _result(data, (x, gamma, beta), backward)
-
-
-def l2_normalize(x, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Scale rows along `axis` to unit Euclidean norm."""
-    x = _coerce(x)
-    norm = np.sqrt(_sum_kept(x.data * x.data, axis) + np.float32(eps))
-    data = x.data / norm
-
-    def backward(g):
-        g_norm = _unbroadcast(-g * x.data / (norm * norm), norm.shape)
-        g_sq = np.broadcast_to(g_norm * (0.5 / norm), x.shape) * x.data
-        # x's pieces: through the division, then once per factor of x * x
-        return ((x, g / norm), (x, g_sq), (x, g_sq))
-
-    return _result(data, (x,), backward)
 
 
 # -- finite-difference oracle --------------------------------------------------

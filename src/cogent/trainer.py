@@ -71,7 +71,7 @@ from .model import (
 )
 from .optim import AdamConfig, AdamState, adam_step
 from .patchmask import PatchConfig, batch_patchify_mask, patchify
-from .tensor import Tensor, no_grad, tsum
+from .tensor import Tensor, no_grad
 
 # rng stream tags (never reuse across purposes)
 _AUG, _MASK_ORIG, _MASK_AUG = 11, 12, 13
@@ -91,17 +91,6 @@ METRIC_CSV_HEADER = (
 
 def _rng(*keys: int) -> np.random.Generator:
     return np.random.default_rng(list(keys))
-
-
-def _masked_recon_term(
-    p_hat: Tensor, target: np.ndarray, weights: np.ndarray, count_per_sample: int
-) -> Tensor:
-    """Squared-error term over the rows selected by `weights` (0/1 per patch)."""
-    b = target.shape[0]
-    d = (p_hat - Tensor(target)) * Tensor(
-        weights[:, :, None].astype(p_hat.data.dtype)
-    )
-    return tsum(d * d) * (1.0 / (b * count_per_sample))
 
 
 def _stacked_terms(batches, params, cfg: LossConfig, keep_zeroed: bool = False):
@@ -143,19 +132,16 @@ def _stacked_terms(batches, params, cfg: LossConfig, keep_zeroed: bool = False):
         views, z, idx, masks = views[:n_batches], z[:end], idx[:end], masks[:end]
     masked = cfg.reconstruct_target == "masked"
     p_hat = decode(z, idx, params, masks=masks if masked else None)
-    n = masks.shape[1]
-    visible = int(masks[0].sum())  # exact-count masks: the same in every row
     terms = []
     for i, (view_tokens, _, view_masks, patches) in enumerate(views):
         part = p_hat if len(views) == 1 else p_hat[bounds[i] : bounds[i + 1]]
         if masked:
             # standard masked-autoencoder target: the decoder filled the
             # holes with the mask token; score only the hidden patches
-            term = _masked_recon_term(part, patches, 1 - view_masks, n - visible)
-        elif keep_zeroed:
-            term = _masked_recon_term(part, view_tokens, view_masks, visible)
+            term = patch_reconstruction_term(part, Tensor(patches), 1 - view_masks)
         else:
-            term = patch_reconstruction_term(part, Tensor(view_tokens))
+            weights = view_masks if keep_zeroed else None
+            term = patch_reconstruction_term(part, Tensor(view_tokens), weights)
         terms.append(term)
     parts = []
     for i, l_c in enumerate(l_cs):

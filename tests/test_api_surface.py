@@ -3,7 +3,8 @@
 Every name that `cogent/__init__.py` re-exports, and every name in
 `tensor.__all__`, must be used by the package's own code outside
 `__init__.py`: imported by another module (`from .x import name`) or read
-as a name in the module that defines it.
+as a name in the module that defines it. Every named public `Tensor` method
+and property must be called by package code in a tiny pretraining run.
 """
 
 import ast
@@ -13,7 +14,10 @@ import sys
 from pathlib import Path
 
 import cogent
-from cogent import tensor
+from cogent import tensor, trainer
+from cogent.config import resolve_config, settings_from_config
+from cogent.data import DatasetMeta, gen_synthetic
+from cogent.tensor import Tensor
 
 SRC = Path(cogent.__file__).parent
 
@@ -45,6 +49,44 @@ def referenced_names() -> set[str]:
 def test_every_export_is_used_by_the_package():
     unused = sorted(exported_names() - referenced_names())
     assert unused == [], f"exported but only tests use them: {unused}"
+
+
+def test_every_public_tensor_method_is_called_by_the_package(monkeypatch, tmp_path):
+    # numpy arrays share most of these names, so a search of the source
+    # cannot tell a Tensor call from an array call; record the calls instead
+    called = set()
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"].startswith("cogent."):
+                called.add(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    public = {
+        name: attr
+        for name, attr in vars(Tensor).items()
+        if not name.startswith("_") and (callable(attr) or isinstance(attr, property))
+    }
+    for name, attr in public.items():
+        if isinstance(attr, property):
+            monkeypatch.setattr(Tensor, name, property(recording(name, attr.fget)))
+        else:
+            monkeypatch.setattr(Tensor, name, recording(name, attr))
+    meta = DatasetMeta(T=16, D=1, num_classes=2, name="surface")
+    corpus = gen_synthetic(tmp_path, meta, per_class=4, seed=0, sigma=0.1)
+    overrides = {
+        "patch.L": "4",
+        "model.d_model": "8",
+        "model.n_heads": "2",
+        "model.proj_dim": "4",
+        "train.batch_size": "4",
+        "train.epochs_pretrain": "1",
+    }
+    settings = settings_from_config(resolve_config(None, overrides, env={}), meta)
+    trainer.pretrain(corpus, settings)
+    assert sorted(set(public) - called) == [], "no package code calls these"
 
 
 def test_import_loads_no_scipy():

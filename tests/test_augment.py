@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cogent.augment import AugmentConfig, jitter, make_view, make_views_batch, time_mask
-from cogent.data import TimeSeriesSample
+from cogent.augment import AugmentConfig, jitter, make_views_batch, time_mask
 from cogent.errors import ConfigError
 
 # The half-normal jitter mean and the time-mask count at T=1280 live in
@@ -71,33 +70,28 @@ class TestTimeMask:
 
 class TestMakeView:
     def test_jitter_zero_eps_equals_original(self):
-        s = TimeSeriesSample(np.ones((6, 1), np.float32), label=2)
+        values = np.ones((1, 6, 1), np.float32)
         cfg = AugmentConfig(kind="jitter", epsilon=0.0)
-        view = make_view(s, cfg, np.random.default_rng(0))
-        np.testing.assert_array_equal(view.values, s.values)
+        view = make_views_batch(values, cfg, np.random.default_rng(0))
+        np.testing.assert_array_equal(view, values)
 
     def test_time_mask_dispatch(self):
-        s = TimeSeriesSample(np.ones((8, 2), np.float32), label=0)
+        values = np.ones((1, 8, 2), np.float32)
         cfg = AugmentConfig(kind="time_mask", mask_fraction=0.5)
-        view = make_view(s, cfg, np.random.default_rng(0))
-        zero_rows = int(np.sum(np.all(view.values == 0.0, axis=1)))
+        view = make_views_batch(values, cfg, np.random.default_rng(0))[0]
+        zero_rows = int(np.sum(np.all(view == 0.0, axis=1)))
         assert zero_rows == 4
-
-    def test_label_preserved(self):
-        s = TimeSeriesSample(np.ones((6, 1), np.float32), label=3)
-        cfg = AugmentConfig(kind="jitter", epsilon=0.2)
-        assert make_view(s, cfg, np.random.default_rng(0)).label == 3
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError):
             AugmentConfig(kind="warp")
 
     def test_independent_rng_states_differ(self):
-        s = TimeSeriesSample(np.zeros((20, 1), np.float32), label=0)
+        values = np.zeros((1, 20, 1), np.float32)
         cfg = AugmentConfig(kind="jitter", epsilon=0.1)
-        a = make_view(s, cfg, np.random.default_rng(1))
-        b = make_view(s, cfg, np.random.default_rng(2))
-        assert np.any(a.values != b.values)
+        a = make_views_batch(values, cfg, np.random.default_rng(1))
+        b = make_views_batch(values, cfg, np.random.default_rng(2))
+        assert np.any(a != b)
 
     @pytest.mark.parametrize("kind", ["jitter", "time_mask"])
     def test_batch_equals_per_sample_views(self, kind):
@@ -106,9 +100,10 @@ class TestMakeView:
         cfg = AugmentConfig(kind=kind, epsilon=0.1, mask_fraction=0.25)
         rng_batch, rng_each = np.random.default_rng(6), np.random.default_rng(6)
         out = make_views_batch(values, cfg, rng_batch)
-        expect = np.stack(
-            [make_view(TimeSeriesSample(v, 0), cfg, rng_each).values for v in values]
-        )
+        if kind == "jitter":
+            expect = np.stack([jitter(v, 0.1, rng_each) for v in values])
+        else:
+            expect = np.stack([time_mask(v, 0.25, rng_each) for v in values])
         assert out.dtype == expect.dtype
         np.testing.assert_array_equal(out, expect)
         assert rng_batch.standard_normal() == rng_each.standard_normal()

@@ -67,7 +67,7 @@ class TestGenSynthetic:
     @pytest.mark.parametrize(
         "flag, value",
         [("--per-class", "0")]
-        + [("--sigma", v) for v in ("-0.5", "inf", "nan", "1e39")],
+        + [("--sigma", v) for v in ("-0.5", "inf", "nan", "1e39", "2e38")],
     )
     def test_bad_generator_setting_exits_1(self, flag, value, tmp_path, capsys):
         rc = main(["gen-synthetic", "--out", str(tmp_path / "c"), flag, value])

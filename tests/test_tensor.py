@@ -21,6 +21,7 @@ from cogent.tensor import (
     matmul,
     no_grad,
     relu,
+    reshape,
     softmax,
     tmean,
     tsum,
@@ -313,7 +314,7 @@ class TestFiniteDiffCheck:
         check(lambda w: (lambda t: tsum(relu(t) * Tensor(w))), seed=5)
         check(
             lambda w: (
-                lambda t: tsum(matmul(t.reshape(2, 2), Tensor(w.reshape(2, 2))))
+                lambda t: tsum(matmul(reshape(t, 2, 2), Tensor(w.reshape(2, 2))))
             ),
             seed=6,
         )
