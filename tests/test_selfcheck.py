@@ -1,27 +1,16 @@
-"""Every check of the built-in oracle suite that no acceptance criterion runs,
-one test each.
+"""Every check of the built-in oracle suite but one, one test each.
 
 The oracles live only in `cogent.selfcheck`; `cogent selfcheck` runs the
-same table. Five stay out, so that each oracle runs once per test run: the
-full gradient check (acceptance criterion 1), the nt-xent oracles
-(criterion 2), the patch/mask arithmetic (criterion 3), the metric oracles
-(criterion 7) and the silhouette oracles (criterion 9). The convergence
-run, which `selfcheck --fast` skips, is `test_oracle[convergence_run]`.
+same table. The full gradient check stays out: acceptance criterion 1 runs
+it. The convergence run, which `selfcheck --fast` skips, is
+`test_oracle[convergence_run]`.
 """
 
 import pytest
 
 from cogent.selfcheck import CHECKS
 
-IN_ACCEPTANCE = {
-    "full joint-loss gradient check",
-    "nt-xent closed forms and brute force",
-    "patch/mask arithmetic (1280/64/0.75)",
-    "metric oracles (f1/auroc/auprc)",
-    "silhouette hand example",
-}
-assert IN_ACCEPTANCE <= dict(CHECKS).keys()
-RUN = [(name, fn) for name, fn in CHECKS if name not in IN_ACCEPTANCE]
+RUN = [(name, fn) for name, fn in CHECKS if name != "full joint-loss gradient check"]
 
 
 @pytest.mark.parametrize(
