@@ -9,8 +9,8 @@ from .config import RunSettings, TrainConfig, resolve_config, settings_from_conf
 from .data import (
     Corpus,
     DatasetMeta,
+    Samples,
     SplitPlan,
-    TimeSeriesSample,
     gen_synthetic,
     load_corpus,
     make_batches,

@@ -4,18 +4,22 @@ Corpus layout on disk: a directory with `meta.json` plus `train.csv`,
 `val.csv`, `test.csv`. Each CSV row is one sample: column 0 is the integer
 label, columns 1..T*D are values in time-major order (t0c0, t0c1, ...,
 t1c0, ...), no header.
+
+In memory a split is one `Samples`: a float32 [n, T, D] value array and an
+integer [n] label vector. Splits, subsets and batches index both arrays at
+once, and normalization is one array expression.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ContractError, ParseError
 
 SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
@@ -35,10 +39,30 @@ class DatasetMeta:
             raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
 
 
-@dataclass
-class TimeSeriesSample:
-    values: np.ndarray  # [T, D] float32
-    label: int
+@dataclass(frozen=True)
+class Samples:
+    """A split: `values` [n, T, D] float32 and `labels` [n] integers.
+    Indexing with an index array or a slice selects rows of both."""
+
+    values: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        v, y = self.values, self.labels
+        values_ok = isinstance(v, np.ndarray) and v.ndim == 3 and v.dtype == np.float32
+        labels_ok = isinstance(y, np.ndarray) and y.ndim == 1 and y.dtype.kind in "iu"
+        if not (values_ok and labels_ok and len(y) == len(v)):
+            raise ContractError(
+                "samples need float32 values [n, T, D] and integer labels [n], got "
+                f"values {np.shape(v)} {np.asarray(v).dtype} and "
+                f"labels {np.shape(y)} {np.asarray(y).dtype}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index) -> Samples:
+        return Samples(self.values[index], self.labels[index])
 
 
 @dataclass
@@ -61,14 +85,16 @@ class SplitPlan:
 @dataclass
 class Corpus:
     meta: DatasetMeta
-    train: list[TimeSeriesSample] = field(default_factory=list)
-    val: list[TimeSeriesSample] = field(default_factory=list)
-    test: list[TimeSeriesSample] = field(default_factory=list)
+    train: Samples
+    val: Samples
+    test: Samples
 
 
-def _parse_csv(path: Path, meta: DatasetMeta) -> list[TimeSeriesSample]:
+def _parse_csv(path: Path, meta: DatasetMeta) -> Samples:
+    if not path.is_file():
+        raise ParseError(f"missing corpus file: {path}")
     expected = 1 + meta.T * meta.D
-    samples = []
+    rows, labels = [], []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
@@ -103,10 +129,10 @@ def _parse_csv(path: Path, meta: DatasetMeta) -> list[TimeSeriesSample]:
                 raise ParseError(f"{path}:{lineno}: bad float value ({e})") from None
             if not np.all(np.isfinite(flat)):
                 raise ParseError(f"{path}:{lineno}: non-finite value in row")
-            samples.append(
-                TimeSeriesSample(values=flat.reshape(meta.T, meta.D), label=label)
-            )
-    return samples
+            rows.append(flat)
+            labels.append(label)
+    values = np.array(rows, dtype=np.float32).reshape(-1, meta.T, meta.D)
+    return Samples(values, np.array(labels, dtype=np.int64))
 
 
 def load_corpus(corpus_dir) -> Corpus:
@@ -139,18 +165,10 @@ def load_corpus(corpus_dir) -> Corpus:
         name=str(raw.get("name", corpus_dir.name)),
         sampling_note=str(raw.get("sampling_note", "")),
     )
-    splits = []
-    for fname in SPLIT_FILES:
-        fpath = corpus_dir / fname
-        if not fpath.is_file():
-            raise ParseError(f"missing corpus file: {fpath}")
-        splits.append(_parse_csv(fpath, meta))
-    return Corpus(meta=meta, train=splits[0], val=splits[1], test=splits[2])
+    return Corpus(meta, *(_parse_csv(corpus_dir / f, meta) for f in SPLIT_FILES))
 
 
-def split_pretrain(
-    train: list[TimeSeriesSample], plan: SplitPlan
-) -> tuple[list[TimeSeriesSample], list[TimeSeriesSample]]:
+def split_pretrain(train: Samples, plan: SplitPlan) -> tuple[Samples, Samples]:
     """Shuffle the training pool and carve off the sanity-check tail.
 
     The pretrain part gets floor(fraction * n) samples, the sanity part the
@@ -164,53 +182,40 @@ def split_pretrain(
     idx = np.random.default_rng(plan.seed).permutation(n)
     n_pre = int(math.floor(plan.pretrain_fraction * n))
     n_pre = min(max(n_pre, 1), n - 1)
-    pre = [train[i] for i in idx[:n_pre]]
-    sanity = [train[i] for i in idx[n_pre:]]
-    return pre, sanity
+    return train[idx[:n_pre]], train[idx[n_pre:]]
 
 
-def sample_finetune_subset(
-    train: list[TimeSeriesSample], plan: SplitPlan
-) -> list[TimeSeriesSample]:
-    """Stratified subset: round(ratio * count_c) per class (at least 1)."""
+def sample_finetune_subset(train: Samples, plan: SplitPlan) -> Samples:
+    """Stratified subset: round(ratio * count_c) per class (at least 1), in
+    the split's row order."""
     if not train:
         raise ConfigError("the train split is empty; fine-tuning needs labelled rows")
-    by_class: dict[int, list[int]] = {}
-    for i, s in enumerate(train):
-        by_class.setdefault(s.label, []).append(i)
-    labels_present = sorted(by_class)
     rng = np.random.default_rng([plan.seed, 0x5EED])
-    chosen: list[int] = []
-    for c in labels_present:
-        pool = by_class[c]
+    chosen = []
+    for c in np.unique(train.labels):
+        pool = np.flatnonzero(train.labels == c)
         k = max(1, round(plan.finetune_label_ratio * len(pool)))
-        order = rng.permutation(len(pool))[:k]
-        chosen.extend(pool[j] for j in order)
-    chosen.sort()
-    return [train[i] for i in chosen]
+        chosen.append(pool[rng.permutation(len(pool))[:k]])
+    return train[np.sort(np.concatenate(chosen))]
 
 
-def require_all_classes(
-    samples: list[TimeSeriesSample], meta: DatasetMeta
-) -> None:
-    present = {s.label for s in samples}
-    for c in range(meta.num_classes):
-        if c not in present:
-            raise ConfigError(
-                f"class {c} is absent from the train split "
-                f"({meta.num_classes} classes expected)"
-            )
+def require_all_classes(samples: Samples, meta: DatasetMeta) -> None:
+    absent = np.setdiff1d(np.arange(meta.num_classes), samples.labels)
+    if absent.size:
+        raise ConfigError(
+            f"class {absent[0]} is absent from the train split "
+            f"({meta.num_classes} classes expected)"
+        )
 
 
-def normalize(
-    samples: list[TimeSeriesSample],
-) -> tuple[list[TimeSeriesSample], np.ndarray, np.ndarray]:
-    """Z-score per channel with population std (floored at 1e-8).
+def normalize(samples: Samples) -> tuple[Samples, np.ndarray, np.ndarray]:
+    """Z-score per channel with population std (floored at 1e-8), over every
+    time step of every sample, accumulated in float64.
 
     Statistics must come from the training portion of the current stage only;
     reuse them verbatim on val/test via apply_normalization.
     """
-    stacked = np.concatenate([s.values for s in samples], axis=0).astype(np.float64)
+    stacked = samples.values.reshape(-1, samples.values.shape[2]).astype(np.float64)
     mean = stacked.mean(axis=0)
     std = stacked.std(axis=0)  # population std
     std = np.maximum(std, 1e-8)
@@ -219,26 +224,22 @@ def normalize(
     return apply_normalization(samples, mean32, std32), mean32, std32
 
 
-def apply_normalization(
-    samples: list[TimeSeriesSample], mean: np.ndarray, std: np.ndarray
-) -> list[TimeSeriesSample]:
-    return [
-        TimeSeriesSample(
-            values=((s.values - mean) / std).astype(np.float32), label=s.label
-        )
-        for s in samples
-    ]
+def apply_normalization(samples: Samples, mean: np.ndarray, std: np.ndarray) -> Samples:
+    values = samples.values - mean
+    values /= std
+    return Samples(values, samples.labels)
 
 
 def make_batches(
-    samples: list[TimeSeriesSample],
+    samples: Samples,
     batch_size: int,
     seed: int = 0,
     epoch: int = 0,
     drop_last: bool = True,
     shuffle: bool = True,
 ):
-    """Yield (values[B,T,D], labels[B]) batches.
+    """Yield (values[B,T,D], labels[B]) batches, each `samples[order[lo:hi]]`:
+    fresh C-contiguous copies of the selected rows.
 
     Shuffling is keyed by (seed, epoch). Pretraining drops the final short
     batch (drop_last=True, the contrastive loss needs a negative sample);
@@ -257,10 +258,8 @@ def make_batches(
         order = np.arange(n)
     stop = (n // batch_size) * batch_size if drop_last else n
     for start in range(0, stop, batch_size):
-        sel = order[start : start + batch_size]
-        values = np.stack([samples[i].values for i in sel]).astype(np.float32)
-        labels = np.array([samples[i].label for i in sel], dtype=np.int64)
-        yield values, labels
+        batch = samples[order[start : start + batch_size]]
+        yield batch.values, batch.labels
 
 
 def gen_synthetic(
@@ -294,26 +293,21 @@ def gen_synthetic(
     t = np.arange(meta.T, dtype=np.float64) / meta.T
 
     def make_samples(count_per_class):
-        samples = []
-        for c in range(meta.num_classes):
-            freq = c + 1
+        # rows are drawn class by class, each row's jitter before its noise
+        labels = np.repeat(np.arange(meta.num_classes), count_per_class)
+        values = np.empty((len(labels), meta.T, meta.D), dtype=np.float32)
+        for i in range(len(labels)):
+            c = i // count_per_class
             base_phase = 2.0 * math.pi * c / meta.num_classes
-            for _ in range(count_per_class):
-                jitter = rng.uniform(-0.25, 0.25)
-                values = np.empty((meta.T, meta.D), dtype=np.float32)
-                for d in range(meta.D):
-                    wave = np.sin(
-                        2.0 * math.pi * freq * t + base_phase + jitter + 0.5 * d
-                    )
-                    values[:, d] = wave.astype(np.float32)
-                if sigma > 0:
-                    values = values + sigma * rng.standard_normal(
-                        (meta.T, meta.D)
-                    ).astype(np.float32)
-                samples.append(
-                    TimeSeriesSample(values=values.astype(np.float32), label=c)
+            jitter = rng.uniform(-0.25, 0.25)
+            for d in range(meta.D):
+                values[i, :, d] = np.sin(
+                    2.0 * math.pi * (c + 1) * t + base_phase + jitter + 0.5 * d
                 )
-        return samples
+            if sigma > 0:
+                noise = rng.standard_normal((meta.T, meta.D)).astype(np.float32)
+                values[i] += sigma * noise
+        return Samples(values, labels)
 
     n_eval = max(1, round(per_class * 0.5))
     try:
@@ -350,10 +344,7 @@ def save_corpus(out_dir, corpus: Corpus) -> None:
         )
         fh.write("\n")
     for fname, samples in zip(SPLIT_FILES, (corpus.train, corpus.val, corpus.test)):
+        rows = samples.values.reshape(len(samples), meta.T * meta.D).tolist()
         with open(out_dir / fname, "w", encoding="ascii") as fh:
-            for s in samples:
-                flat = s.values.reshape(-1)
-                fh.write(str(s.label))
-                fh.write(",")
-                fh.write(",".join(repr(float(v)) for v in flat))
-                fh.write("\n")
+            for label, row in zip(samples.labels.tolist(), rows):
+                fh.write(f"{label},{','.join(map(repr, row))}\n")

@@ -20,7 +20,7 @@ import numpy as np
 from . import losses, trainer
 from .augment import AugmentConfig, jitter, time_mask
 from .config import RunSettings, TrainConfig
-from .data import DatasetMeta, SplitPlan, TimeSeriesSample, gen_synthetic
+from .data import DatasetMeta, Samples, SplitPlan, gen_synthetic
 from .losses import (
     LossConfig,
     balance_lambdas,
@@ -562,7 +562,7 @@ def _per_batch_sanity_loss(sanity, params, settings: RunSettings, lambdas):
     totals = []
     with no_grad():
         for bi in range(len(sanity) // bs):
-            values = np.stack([s.values for s in sanity[bi * bs : (bi + 1) * bs]])
+            values = sanity.values[bi * bs : (bi + 1) * bs]
             rngs = tuple(np.random.default_rng([seed, tag, bi]) for tag in tags)
             parts = _per_view_loss_parts(values, params, settings, rngs)
             total, _ = joint_loss(settings.loss, *lambdas, *parts)
@@ -622,7 +622,7 @@ def _stacked_views_oracle():
     values = np.random.default_rng(31).normal(size=(4, 32, 1)).astype(np.float32)
     # three full batches of 4, and 2 samples the pass drops
     split = np.random.default_rng(32).normal(size=(14, 32, 1)).astype(np.float32)
-    sanity = [TimeSeriesSample(v, 0) for v in split]
+    sanity = Samples(split, np.zeros(len(split), np.int64))
     for loss_kwargs, keep_zeroed, kind in cases:
         settings = RunSettings(
             patch=patch,
@@ -778,15 +778,12 @@ def _convergence_run():
         f"pretraining did not converge: {log[0]['total']} -> {log[-1]['total']}"
     )
     # nearest-centroid oracle bounds task difficulty
-    centroids = [
-        np.mean([s.values.reshape(-1) for s in corpus.train if s.label == c], axis=0)
-        for c in range(3)
-    ]
-    hits = sum(
-        int(np.argmin([np.linalg.norm(s.values.reshape(-1) - c) for c in centroids]) == s.label)
-        for s in corpus.test
-    )
-    assert hits / len(corpus.test) >= 0.95, "synthetic corpus is not separable"
+    train, test = corpus.train, corpus.test
+    rows = train.values.reshape(len(train), -1)
+    centroids = np.stack([rows[train.labels == c].mean(axis=0) for c in range(3)])
+    offsets = test.values.reshape(len(test), 1, -1) - centroids
+    nearest = np.argmin(np.linalg.norm(offsets, axis=2), axis=1)
+    assert np.mean(nearest == test.labels) >= 0.95, "synthetic corpus is not separable"
 
 
 CHECKS = (

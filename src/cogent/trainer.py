@@ -42,6 +42,7 @@ from .checkpoint import ARCH_KEYS, Checkpoint, save_checkpoint
 from .config import RunSettings, TrainConfig, read_run_config, run_config
 from .data import (
     Corpus,
+    Samples,
     apply_normalization,
     make_batches,
     normalize,
@@ -242,14 +243,14 @@ class _SanitySet:
     and, per full batch, one `batch_patchify_mask` tuple per view, original
     first. Its arrays are read-only. Its length is the number of samples."""
 
-    samples: list
+    samples: Samples
     batches: tuple
 
     def __len__(self) -> int:
         return len(self.samples)
 
 
-def _sanity_set(samples, settings: RunSettings) -> _SanitySet:
+def _sanity_set(samples: Samples, settings: RunSettings) -> _SanitySet:
     """Build the sanity split's views once per run.
 
     The full, unshuffled batches are augmented and masked from their own
@@ -308,14 +309,20 @@ def pretrain(
     tc = settings.train
     if tc.batch_size < 2:
         raise ConfigError("pretraining requires batch_size >= 2")
+    theta, n_patches = settings.patch.theta, settings.patch.n_patches(corpus.meta.T)
+    loss = settings.loss
+    if loss.needs_reconstruction and loss.reconstruct_target == "masked":
+        if round(theta * n_patches) == 0:
+            raise ConfigError(
+                f"patch.theta {theta} hides none of the N={n_patches} patches, "
+                "and loss.reconstruct_target masked scores only hidden patches"
+            )
     pre, sanity = split_pretrain(corpus.train, settings.split)
     pre, norm_mean, norm_std = normalize(pre)
     sanity = apply_normalization(sanity, norm_mean, norm_std)
     with _finite(settings, "pretraining", "building the sanity split's views"):
         sanity = _sanity_set(sanity, settings)
-    proj_tokens = (
-        settings.patch.n_patches(corpus.meta.T) if settings.keep_zeroed else None
-    )
+    proj_tokens = n_patches if settings.keep_zeroed else None
     params = init_params(
         settings.model,
         settings.patch,
@@ -497,16 +504,16 @@ def finetune(
 
 
 def _forward_logits(params, patch_cfg, samples, batch_size):
-    """(logits, labels, classifier hidden activations) of a normalized split,
-    forward only, in batches of `batch_size`."""
+    """(logits, classifier hidden activations) of a normalized split, one row
+    per sample, forward only, in batches of `batch_size`."""
     rows = []
     with no_grad():
-        for values, labels in make_batches(
+        for values, _ in make_batches(
             samples, batch_size, drop_last=False, shuffle=False
         ):
             z = encode(*patchify(values, patch_cfg), params)
             logits, hidden = classify(z, params)
-            rows.append((logits.data, labels, hidden.data))
+            rows.append((logits.data, hidden.data))
     return tuple(np.concatenate(col) for col in zip(*rows))
 
 
@@ -517,27 +524,29 @@ def _scores_from_logits(logits: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_params(params, patch_cfg, samples, batch_size) -> MetricReport:
-    logits, labels, _ = _forward_logits(params, patch_cfg, samples, batch_size)
+    logits, _ = _forward_logits(params, patch_cfg, samples, batch_size)
     scores = _scores_from_logits(logits)
     preds = np.argmax(logits, axis=1)
-    return compute_metrics(labels, preds, scores, params.meta.num_classes)
+    return compute_metrics(samples.labels, preds, scores, params.meta.num_classes)
 
 
-def _inference_inputs(ckpt: Checkpoint, samples):
+def _inference_inputs(ckpt: Checkpoint, samples: Samples):
     """The model a fine-tuned checkpoint stores, its patch layout, and a raw
-    split normalized with the checkpoint's statistics. Each sample must have
-    the stored corpus shape and one of its classes."""
+    split normalized with the checkpoint's statistics. The split must have the
+    stored corpus shape and only its classes; the first bad label is named."""
     if not samples:
         raise ConfigError("cannot run a checkpoint on an empty split")
     params, patch_cfg = params_from_checkpoint(ckpt)
     meta = params.meta
-    for i, s in enumerate(samples):
-        if s.values.shape != (meta.T, meta.D) or not 0 <= s.label < meta.num_classes:
-            raise ConfigError(
-                f"sample {i} (shape {s.values.shape}, label {s.label}) does not "
-                f"fit the checkpoint: shape ({meta.T}, {meta.D}), "
-                f"{meta.num_classes} classes"
-            )
+    fits = f"the checkpoint: shape ({meta.T}, {meta.D}), {meta.num_classes} classes"
+    shape = samples.values.shape[1:]
+    if shape != (meta.T, meta.D):
+        raise ConfigError(f"samples of shape {shape} do not fit {fits}")
+    labels = samples.labels
+    bad = np.flatnonzero((labels < 0) | (labels >= meta.num_classes))
+    if bad.size:
+        i = bad[0]
+        raise ConfigError(f"sample {i} (label {labels[i]}) does not fit {fits}")
     normed = apply_normalization(
         samples,
         np.array(ckpt.norm_mean, dtype=np.float32),
@@ -546,18 +555,17 @@ def _inference_inputs(ckpt: Checkpoint, samples):
     return params, patch_cfg, normed
 
 
-def evaluate(ckpt: Checkpoint, samples, batch_size: int = 64) -> MetricReport:
+def evaluate(ckpt: Checkpoint, samples: Samples, batch_size: int = 64) -> MetricReport:
     """Metrics of a fine-tuned checkpoint on a raw (unnormalized) split."""
     return _evaluate_params(*_inference_inputs(ckpt, samples), batch_size)
 
 
 def export_embeddings(
-    ckpt: Checkpoint, samples, out_csv=None, out_silhouette=None
+    ckpt: Checkpoint, samples: Samples, out_csv=None, out_silhouette=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Classifier hidden-layer activations per sample, plus their silhouette."""
-    _, labels, hidden = _forward_logits(
-        *_inference_inputs(ckpt, samples), batch_size=64
-    )
+    _, hidden = _forward_logits(*_inference_inputs(ckpt, samples), batch_size=64)
+    labels = samples.labels
     score = silhouette_score(hidden, labels)
     if out_csv is not None:
         with open(out_csv, "w", newline="") as fh:

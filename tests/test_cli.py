@@ -49,6 +49,13 @@ def corpus_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def micro_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("micro")
+    assert main(["gen-synthetic", "--out", str(d), "--T", "32", "--per-class", "8"]) == 0
+    return d
+
+
+@pytest.fixture(scope="module")
 def pretrain_dir(tmp_path_factory, corpus_dir):
     out = tmp_path_factory.mktemp("run")
     rc = main(
@@ -75,6 +82,14 @@ class TestGenSynthetic:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+
+# a micro model for a T=32 corpus: L=8 gives N=4 patches
+MICRO = [
+    "--patch.L", "8", "--model.d_model", "8", "--model.n_heads", "2",
+    "--model.mlp_ratio", "2", "--model.proj_dim", "4",
+    "--train.epochs_pretrain", "2", "--train.epochs_finetune", "2",
+    "--train.batch_size", "4",
+]
 
 # in-range settings whose products overflow a micro training step
 OVERFLOWING_STEPS = (
@@ -253,29 +268,39 @@ class TestPretrainCommand:
         ids=[f"{command}-{args[-2][2:]}" for command, args in OVERFLOWING_STEPS],
     )
     def test_step_that_leaves_the_float_range_exits_1(
-        self, tmp_path, capsys, command, args
+        self, micro_dir, tmp_path, capsys, command, args
     ):
         # in-range settings whose product overflows a training step: a user
         # error naming the stage, the epoch and the settings, not a crash
-        data = tmp_path / "micro"
-        assert main(["gen-synthetic", "--out", str(data), "--T", "32",
-                     "--per-class", "8"]) == 0
-        micro = [
-            "--patch.L", "8", "--model.d_model", "8", "--model.n_heads", "2",
-            "--model.mlp_ratio", "2", "--model.proj_dim", "4",
-            "--train.epochs_pretrain", "2", "--train.epochs_finetune", "2",
-            "--train.batch_size", "4",
-        ]
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            rc = main([command, "--data", str(data), "--out", str(out)] + micro + args)
+            rc = main([command, "--data", str(micro_dir), "--out", str(out)]
+                      + MICRO + args)
         assert rc == 1
         err = capsys.readouterr().err
         stage = {"pretrain": "pretraining", "finetune": "fine-tuning"}[command]
         assert err.startswith(f"error: {stage} turned non-finite at epoch ")
         assert f"{args[-2][2:]}={float(args[-1])!r}" in err
         assert "Traceback" not in err
+        assert not list(out.glob("*.ckpt"))
+
+    @pytest.mark.parametrize("theta", ["0", "0.1"])  # round(0.1 * 4) = 0
+    def test_masked_target_with_no_hidden_patch_exits_1(
+        self, micro_dir, tmp_path, capsys, theta
+    ):
+        # the masked target scores only hidden patches, so masks hiding none
+        # leave it nothing to average
+        out = tmp_path / "out"
+        args = ["--patch.theta", theta, "--loss.reconstruct_target", "masked"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["pretrain", "--data", str(micro_dir), "--out", str(out)]
+                      + MICRO + args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"patch.theta {float(theta)}" in err and "N=4" in err
+        assert "loss.reconstruct_target" in err and "Traceback" not in err
         assert not list(out.glob("*.ckpt"))
 
     @pytest.mark.parametrize(

@@ -12,8 +12,8 @@ from cogent.config import RunSettings, TrainConfig
 from cogent.data import (
     Corpus,
     DatasetMeta,
+    Samples,
     SplitPlan,
-    TimeSeriesSample,
     gen_synthetic,
     split_pretrain,
 )
@@ -278,7 +278,7 @@ class TestForwardOnlyPasses:
         lambdas = (1.0, 1.0)
         built = trainer._sanity_set(sanity, settings)
         assert trainer._sanity_loss(built, params, settings, lambdas) is not None
-        values = np.stack([s.values for s in pre[:16]])
+        values = pre.values[:16]
         rngs = tuple(np.random.default_rng(k) for k in (1, 2, 3))
         total, _ = joint_loss(
             settings.loss, *lambdas, *_loss_parts(values, params, settings, rngs)
@@ -377,27 +377,23 @@ class TestFinetune:
     def test_test_rows_never_read_before_evaluate(self, corpus, cogent_ckpt):
         ckpt, _ = cogent_ckpt
 
-        class CountingList(list):
-            def __init__(self, items):
-                super().__init__(items)
-                self.reads = 0
+        reads = []
 
-            def __iter__(self):
-                self.reads += 1
-                return super().__iter__()
+        class CountingSamples(Samples):
+            def __getattribute__(self, name):
+                if name in ("values", "labels"):
+                    reads.append(name)
+                return super().__getattribute__(name)
 
-            def __getitem__(self, i):
-                self.reads += 1
-                return super().__getitem__(i)
-
-        guard = CountingList(corpus.test)
+        guard = CountingSamples(corpus.test.values, corpus.test.labels)
+        reads.clear()  # the constructor's own checks
         guarded = Corpus(meta=corpus.meta, train=corpus.train, val=corpus.val,
                          test=guard)
         settings = make_settings(seed=7, epochs_finetune=2)
         tuned, _ = finetune(ckpt, guarded, settings)
-        assert guard.reads == 0
+        assert reads == []
         evaluate(tuned, guarded.test)
-        assert guard.reads > 0
+        assert reads
 
 
 class TestEvaluateAndExport:
@@ -441,7 +437,7 @@ class TestEvaluateAndExport:
         ckpt, _ = cogent_ckpt
         tuned, _ = finetune(ckpt, corpus, make_settings(seed=0, epochs_finetune=2))
         with pytest.raises(ConfigError):
-            evaluate(tuned, [])
+            evaluate(tuned, corpus.test[:0])
 
     def test_export_embeddings(self, corpus, cogent_ckpt, tmp_path):
         ckpt, _ = cogent_ckpt
@@ -482,13 +478,14 @@ class TestEvaluateAndExport:
     def test_samples_that_do_not_fit_the_checkpoint_refused(
         self, tiny_tuned, shape, label
     ):
-        # a user error naming the sample, before any forward pass
-        samples = [
-            TimeSeriesSample(np.zeros((32, 1), np.float32), 0),
-            TimeSeriesSample(np.zeros(shape, np.float32), label),
-        ]
+        # a user error naming the split's shape or the first sample with an
+        # unknown label, before any forward pass
+        samples = Samples(np.zeros((2, *shape), np.float32), np.array([0, label]))
+        if label:
+            message = f"sample 1 (label {label}) does not fit the checkpoint"
+        else:
+            message = f"samples of shape {shape} do not fit the checkpoint"
         for run in (evaluate, export_embeddings):
-            message = f"sample 1 (shape {shape}, label {label})"
             with pytest.raises(ConfigError, match=re.escape(message)):
                 run(tiny_tuned, samples)
 
