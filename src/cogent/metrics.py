@@ -5,11 +5,17 @@ unweighted mean is reported; a MetricReport holds only those means, the
 columns of the metrics CSVs. AUROC uses the rank statistic with ties counted
 as one half; AUPRC integrates the precision-recall curve stepwise over
 distinct score thresholds.
+
+Ties are grouped by `np.unique`: equal scores form one group, and groups are
+sorted by score. A group that ends at 1-based sorted position `end` with
+`count` members shares the average rank `end - (count - 1) / 2`, a half
+integer and so exact in float64. AUPRC takes one step per group of `-scores`
+(highest score first), from the running positive and sample counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,56 +32,24 @@ class MetricReport:
     auprc: float
 
     def as_row(self) -> dict[str, float]:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "auroc": self.auroc,
-            "auprc": self.auprc,
-        }
-
-
-def confusion_counts(
-    labels: np.ndarray, preds: np.ndarray, num_classes: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    tp = np.zeros(num_classes, dtype=np.int64)
-    fp = np.zeros(num_classes, dtype=np.int64)
-    fn = np.zeros(num_classes, dtype=np.int64)
-    for c in range(num_classes):
-        tp[c] = int(np.sum((preds == c) & (labels == c)))
-        fp[c] = int(np.sum((preds == c) & (labels != c)))
-        fn[c] = int(np.sum((preds != c) & (labels == c)))
-    return tp, fp, fn
-
-
-def _safe_div(num: int, den: int) -> float:
-    return float(num) / float(den) if den else 0.0
+        return asdict(self)
 
 
 def macro_prf(
     labels: np.ndarray, preds: np.ndarray, num_classes: int
 ) -> tuple[list[float], list[float], list[float]]:
-    """Per-class precision/recall/F1 with the zero-denominator-is-zero rule."""
-    tp, fp, fn = confusion_counts(labels, preds, num_classes)
-    precision = [_safe_div(tp[c], tp[c] + fp[c]) for c in range(num_classes)]
-    recall = [_safe_div(tp[c], tp[c] + fn[c]) for c in range(num_classes)]
-    f1 = [_safe_div(2 * tp[c], 2 * tp[c] + fp[c] + fn[c]) for c in range(num_classes)]
-    return precision, recall, f1
+    """Per-class precision/recall/F1 with the zero-denominator-is-zero rule.
 
+    F1's denominator 2tp + fp + fn is the predicted plus the actual count.
+    """
+    tp = np.bincount(labels[preds == labels], minlength=num_classes)[:num_classes]
+    predicted = np.bincount(preds, minlength=num_classes)[:num_classes]
+    actual = np.bincount(labels, minlength=num_classes)[:num_classes]
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks; tied values share the average of their rank range."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=np.float64)
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and x[order[j + 1]] == x[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    def ratio(num: np.ndarray, den: np.ndarray) -> list[float]:
+        return np.divide(num, den, out=np.zeros(num_classes), where=den > 0).tolist()
+
+    return ratio(tp, predicted), ratio(tp, actual), ratio(2 * tp, predicted + actual)
 
 
 def auroc_binary(is_pos: np.ndarray, scores: np.ndarray) -> float:
@@ -84,7 +58,8 @@ def auroc_binary(is_pos: np.ndarray, scores: np.ndarray) -> float:
     n_neg = len(is_pos) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    ranks = _average_ranks(scores.astype(np.float64))
+    _, group, count = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(count) - (count - 1) / 2)[group]
     pos_rank_sum = float(ranks[is_pos].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
@@ -94,27 +69,12 @@ def auprc_binary(is_pos: np.ndarray, scores: np.ndarray) -> float:
     n_pos = int(is_pos.sum())
     if n_pos == 0:
         return 0.0
-    order = np.argsort(-scores.astype(np.float64), kind="stable")
-    sorted_scores = scores[order].astype(np.float64)
-    sorted_pos = is_pos[order].astype(np.int64)
-    area = 0.0
-    prev_recall = 0.0
-    tp = 0
-    seen = 0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_pos[i : j + 1].sum())
-        seen += j - i + 1
-        recall = tp / n_pos
-        precision = tp / seen
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return area
+    _, group, count = np.unique(-scores, return_inverse=True, return_counts=True)
+    tp = np.cumsum(np.bincount(group, weights=is_pos))
+    recall = tp / n_pos
+    precision = tp / np.cumsum(count)
+    # cumsum adds left to right; a pairwise np.sum would round differently
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def compute_metrics(

@@ -759,6 +759,16 @@ def _full_gradcheck():
     assert worst < 1e-3, f"worst parameter gradient error {worst}"
 
 
+def nearest_centroid_accuracy(train: Samples, test: Samples) -> float:
+    """Share of test rows nearest the centroid of their own class's train rows."""
+    classes = np.unique(train.labels)
+    rows = train.values.reshape(len(train), -1)
+    centroids = np.stack([rows[train.labels == c].mean(axis=0) for c in classes])
+    offsets = test.values.reshape(len(test), 1, -1) - centroids
+    nearest = classes[np.argmin(np.linalg.norm(offsets, axis=2), axis=1)]
+    return float(np.mean(nearest == test.labels))
+
+
 def _convergence_run():
     meta = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
     with tempfile.TemporaryDirectory() as tmp:
@@ -777,13 +787,8 @@ def _convergence_run():
     assert log[-1]["total"] < 0.5 * log[0]["total"], (
         f"pretraining did not converge: {log[0]['total']} -> {log[-1]['total']}"
     )
-    # nearest-centroid oracle bounds task difficulty
-    train, test = corpus.train, corpus.test
-    rows = train.values.reshape(len(train), -1)
-    centroids = np.stack([rows[train.labels == c].mean(axis=0) for c in range(3)])
-    offsets = test.values.reshape(len(test), 1, -1) - centroids
-    nearest = np.argmin(np.linalg.norm(offsets, axis=2), axis=1)
-    assert np.mean(nearest == test.labels) >= 0.95, "synthetic corpus is not separable"
+    accuracy = nearest_centroid_accuracy(corpus.train, corpus.test)
+    assert accuracy >= 0.95, "synthetic corpus is not separable"
 
 
 CHECKS = (

@@ -48,9 +48,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .errors import ContractError
+
 __all__ = [
     "Tensor",
-    "ShapeError",
     "matmul",
     "softmax",
     "layer_norm",
@@ -72,10 +73,6 @@ __all__ = [
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-class ShapeError(ValueError):
-    """Raised when operand shapes are incompatible."""
 
 
 def _as_array(x, dtype=np.float32):
@@ -144,7 +141,7 @@ class Tensor:
     def backward(self) -> None:
         """Reverse-mode sweep seeding d(self)/d(self) = 1 (self must be scalar)."""
         if self.data.size != 1:
-            raise ShapeError(
+            raise ContractError(
                 f"backward() requires a scalar output, got shape {self.shape}"
             )
         order: list[Tensor] = []
@@ -430,11 +427,11 @@ def matmul(a, b) -> Tensor:
     """
     a, b = _coerce(a), _coerce(b)
     if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(
+        raise ContractError(
             f"matmul expects >=2-d operands, got {a.shape} and {b.shape}"
         )
     if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(
+        raise ContractError(
             f"matmul inner dimensions disagree: {a.shape} x {b.shape}"
         )
     out_dtype = np.result_type(a.data.dtype, b.data.dtype)
@@ -690,7 +687,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     """Max-shifted softmax along `axis`; output sums to 1 along the axis."""
     a = _coerce(a)
     if not -a.ndim <= axis < a.ndim:
-        raise ShapeError(f"softmax axis {axis} invalid for shape {a.shape}")
+        raise ContractError(f"softmax axis {axis} invalid for shape {a.shape}")
     e = np.exp(a.data - np.max(a.data, axis=axis, keepdims=True))
     # tsum(e, axis, keepdims=True)'s values
     total = e.sum(axis=axis, keepdims=True, dtype=np.float64).astype(e.dtype)
@@ -708,7 +705,7 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to mean 0 / variance 1, then affine."""
     x, gamma, beta = _coerce(x), _coerce(gamma), _coerce(beta)
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
-        raise ShapeError(
+        raise ContractError(
             f"layer_norm affine params {gamma.shape}/{beta.shape} do not match "
             f"last dimension of {x.shape}"
         )
@@ -754,11 +751,11 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-3)
     returned. The central differences only read `f`, so they build no graph.
     """
     if h <= 0:
-        raise ValueError("h must be positive")
+        raise ContractError("h must be positive")
     probe = Tensor(x.data.copy(), requires_grad=True)
     out = f(probe)
     if not isinstance(out, Tensor) or out.data.size != 1:
-        raise ShapeError("finite_diff_check requires a scalar-valued f")
+        raise ContractError("finite_diff_check requires a scalar-valued f")
     out.backward()
     analytic = (
         probe.grad.copy() if probe.grad is not None else np.zeros_like(probe.data)

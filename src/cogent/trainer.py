@@ -78,16 +78,7 @@ from .tensor import Tensor, no_grad
 _AUG, _MASK_ORIG, _MASK_AUG = 11, 12, 13
 _SAN_AUG, _SAN_MASK_ORIG, _SAN_MASK_AUG = 21, 22, 23
 
-METRIC_CSV_HEADER = (
-    "mode",
-    "pretrained",
-    "accuracy",
-    "precision",
-    "recall",
-    "f1",
-    "auroc",
-    "auprc",
-)
+METRIC_CSV_HEADER = ("mode", "pretrained", *(f.name for f in fields(MetricReport)))
 
 
 def _rng(*keys: int) -> np.random.Generator:
@@ -239,15 +230,15 @@ _STACK_ROWS = 1 << 12
 
 @dataclass(frozen=True)
 class _SanitySet:
-    """The sanity split as `_sanity_loss` scores it: the normalized samples
-    and, per full batch, one `batch_patchify_mask` tuple per view, original
+    """The sanity split as `_sanity_loss` scores it: its sample count and,
+    per full batch, one `batch_patchify_mask` tuple per view, original
     first. Its arrays are read-only. Its length is the number of samples."""
 
-    samples: Samples
+    n_samples: int
     batches: tuple
 
     def __len__(self) -> int:
-        return len(self.samples)
+        return self.n_samples
 
 
 def _sanity_set(samples: Samples, settings: RunSettings) -> _SanitySet:
@@ -271,7 +262,7 @@ def _sanity_set(samples: Samples, settings: RunSettings) -> _SanitySet:
         )
     for arr in (arr for views in batches for view in views for arr in view):
         arr.flags.writeable = False
-    return _SanitySet(samples, batches)
+    return _SanitySet(len(samples), batches)
 
 
 def _sanity_loss(
@@ -610,8 +601,5 @@ def write_metrics_csv(path, rows: list[tuple[str, bool, MetricReport]]) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRIC_CSV_HEADER)
         for mode, pretrained, report in rows:
-            r = report.as_row()
-            writer.writerow(
-                [mode, str(bool(pretrained)).lower()]
-                + [repr(r[k]) for k in METRIC_CSV_HEADER[2:]]
-            )
+            values = map(repr, report.as_row().values())
+            writer.writerow([mode, str(bool(pretrained)).lower(), *values])

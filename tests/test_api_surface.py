@@ -1,4 +1,5 @@
-"""No public name exists only for tests, and numpy is the only dependency.
+"""No public name exists only for tests, numpy is the only dependency, and
+every exception class belongs to the taxonomy in `errors.py`.
 
 Every name that `cogent/__init__.py` re-exports, and every name in
 `tensor.__all__`, must be used by the package's own code outside
@@ -8,6 +9,7 @@ and property must be called by package code in a tiny pretraining run.
 """
 
 import ast
+import builtins
 import os
 import subprocess
 import sys
@@ -145,3 +147,24 @@ def test_only_model_builds_model_params():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "ModelParams"
     }
     assert builders == {"model.py"}
+
+
+def test_only_errors_defines_exception_classes():
+    # the CLI maps the classes of errors.py to exit codes; an exception class
+    # defined elsewhere would end in a traceback instead
+    builtin_exceptions = {
+        name
+        for name, value in vars(builtins).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    defined = []
+    for name, tree in module_trees().items():
+        for node in ast.walk(tree):
+            if name == "errors.py" or not isinstance(node, ast.ClassDef):
+                continue
+            bases = {getattr(b, "id", getattr(b, "attr", "")) for b in node.bases}
+            if bases & builtin_exceptions or any(
+                b.endswith(("Error", "Exception")) for b in bases
+            ):
+                defined.append(f"{name}: {node.name}")
+    assert defined == []

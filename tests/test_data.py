@@ -20,6 +20,7 @@ from cogent.data import (
     split_pretrain,
 )
 from cogent.errors import ConfigError, ContractError, ParseError
+from cogent.selfcheck import nearest_centroid_accuracy
 
 
 def _samples(labels, T=4, D=1, fill=None, rng=None):
@@ -337,12 +338,7 @@ class TestGenSynthetic:
     def test_nearest_centroid_oracle(self, tmp_path):
         meta = DatasetMeta(T=96, D=1, num_classes=3, name="synth")
         corpus = gen_synthetic(tmp_path, meta, per_class=50, seed=7, sigma=0.1)
-        train, test = corpus.train, corpus.test
-        rows = train.values.reshape(len(train), -1)
-        centroids = np.stack([rows[train.labels == c].mean(axis=0) for c in range(3)])
-        offsets = test.values.reshape(len(test), 1, -1) - centroids
-        nearest = np.argmin(np.linalg.norm(offsets, axis=2), axis=1)
-        assert np.mean(nearest == test.labels) >= 0.95
+        assert nearest_centroid_accuracy(corpus.train, corpus.test) >= 0.95
 
     def test_too_many_classes(self, tmp_path):
         meta = DatasetMeta(T=16, D=1, num_classes=9, name="synth")

@@ -6,6 +6,7 @@ from cogent.metrics import (
     auprc_binary,
     auroc_binary,
     compute_metrics,
+    macro_prf,
     silhouette_score,
 )
 
@@ -60,6 +61,36 @@ class TestAuprc:
         is_pos = np.array([True, False, False, True])
         scores = np.full(4, 0.3)
         assert auprc_binary(is_pos, scores) == pytest.approx(0.5)
+
+
+class TestExactBitsOnTies:
+    # recorded from the loop implementation that grouped ties one sample at a
+    # time; class 2's AUPRC differs in its last bit under a pairwise np.sum
+    PRF = (
+        [0.06666666666666667, 0.47058823529411764, 0.2, 0.5],
+        [0.14285714285714285, 0.5, 0.15384615384615385, 0.25],
+        [
+            0.09090909090909091,
+            0.48484848484848486,
+            0.17391304347826086,
+            0.3333333333333333,
+        ],
+    )
+    AUROC = [
+        0.47909407665505227, 0.4462890625, 0.44285714285714284, 0.6157407407407407
+    ]
+    AUPRC = [
+        0.1612592753721786, 0.3254455085976825, 0.2442409965600011, 0.33172888507682
+    ]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scores_rounded_to_tenths(self, dtype):
+        rng = np.random.default_rng(19)
+        labels = rng.integers(0, 4, size=48)
+        scores = np.round(rng.uniform(0, 1, size=(48, 4)), 1).astype(dtype)
+        assert macro_prf(labels, np.argmax(scores, axis=1), 4) == self.PRF
+        assert [auroc_binary(labels == c, scores[:, c]) for c in range(4)] == self.AUROC
+        assert [auprc_binary(labels == c, scores[:, c]) for c in range(4)] == self.AUPRC
 
 
 class TestSilhouette:

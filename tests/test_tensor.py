@@ -9,8 +9,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from cogent.errors import ContractError
 from cogent.tensor import (
-    ShapeError,
     Tensor,
     concat,
     finite_diff_check,
@@ -45,7 +45,7 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         a = Tensor(np.zeros((2, 3), dtype=np.float32))
         b = Tensor(np.zeros((2, 3), dtype=np.float32))
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
+        with pytest.raises(ContractError, match=r"\(2, 3\).*\(2, 3\)"):
             matmul(a, b)
 
     def test_batched_broadcast(self):
@@ -185,7 +185,7 @@ class TestSoftmax:
             np.testing.assert_allclose(s, 1.0, atol=1e-5)
 
     def test_invalid_axis(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             softmax(Tensor(np.zeros((2, 2), dtype=np.float32)), axis=5)
 
 
@@ -211,7 +211,7 @@ class TestLayerNorm:
 
     def test_affine_mismatch(self):
         g, b = self._gb(4)
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             layer_norm(Tensor(np.zeros((2, 3), dtype=np.float32)), g, b)
 
 
@@ -266,8 +266,14 @@ class TestFiniteDiffCheck:
 
     def test_rejects_non_scalar(self):
         x = Tensor(np.ones(3, dtype=np.float32))
-        with pytest.raises(ShapeError):
+        with pytest.raises(ContractError):
             finite_diff_check(lambda t: t * 2.0, x)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3])
+    def test_rejects_non_positive_step(self, h):
+        x = Tensor(np.ones(3, dtype=np.float32))
+        with pytest.raises(ContractError, match="h must be positive"):
+            finite_diff_check(lambda t: tsum(t * t), x, h=h)
 
     def test_primitives_at_random_points(self):
         # Every differentiable primitive, 10 random points each, rel err < 1e-3.
