@@ -113,8 +113,6 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
     classes = np.unique(labels)
     if len(classes) < 2:
         return 0.0
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
     scores = np.zeros(len(x), dtype=np.float64)
     for i in range(len(x)):
         own = labels == labels[i]
@@ -122,10 +120,11 @@ def silhouette_score(embeddings: np.ndarray, labels: np.ndarray) -> float:
         if n_own < 2:
             scores[i] = 0.0
             continue
-        a = dist[i, own].sum() / (n_own - 1)  # self contributes 0
-        b = min(
-            float(dist[i, labels == c].mean()) for c in classes if c != labels[i]
-        )
+        # one row of distances at a time: memory grows with n * d, not n^2 * d
+        diff = x[i] - x
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        a = dist[own].sum() / (n_own - 1)  # self contributes 0
+        b = min(float(dist[labels == c].mean()) for c in classes if c != labels[i])
         denom = max(a, b)
         scores[i] = (b - a) / denom if denom > 0 else 0.0
     return float(scores.mean())

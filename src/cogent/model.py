@@ -171,6 +171,7 @@ def init_params(
     when it is contrastive. Without (fine-tuning): the classifier. Every
     module is drawn from one stream in a fixed order and the unused ones are
     not stored, so a kept tensor starts the same whichever stage builds it.
+    The classifier is drawn last, so pretraining does not draw it at all.
 
     Affine weights are truncated-normal (std 0.02), biases zero (the
     attention key projection has none), layer-norm gain 1 / bias 0, cls and
@@ -235,8 +236,9 @@ def init_params(
     affine("dec_head", dm, in_dim)
     affine("proj.fc1", n_visible * dm, dm)
     affine("proj.fc2", dm, cfg.proj_dim)
-    affine("clf.fc1", n_patches * dm, hidden)
-    affine("clf.fc2", hidden, meta.num_classes)
+    if "clf" in modules:  # the last draws: pretraining stops before them
+        affine("clf.fc1", n_patches * dm, hidden)
+        affine("clf.fc2", hidden, meta.num_classes)
 
     return build_params(tensors, cfg, patch_cfg, meta, dtype)
 

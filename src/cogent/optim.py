@@ -84,6 +84,8 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
     A gradient assigned by hand rather than accumulated is copied into the
     buffer first. All gradients are checked before any parameter, moment or
     the step counter changes, so a refused step leaves the state as it was.
+    The check reads the gradient row a block at a time through one small
+    reused mask, so it allocates nothing gradient-sized.
     """
     for name, tensor in params.items():
         if tensor.grad is None:
@@ -94,10 +96,14 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
             )
         if tensor.grad is not tensor.grad_slot:
             tensor.grad_slot[...] = tensor.grad
-    if not np.isfinite(state.buffer[1]).all():
-        for name, tensor in params.items():
-            if not np.isfinite(tensor.grad_slot).all():
-                raise ContractError(f"non-finite gradient in parameter {name!r}")
+    grads = state.buffer[1]
+    finite = np.empty(min(grads.size, _BLOCK), bool)
+    for lo in range(0, grads.size, _BLOCK):
+        part = grads[lo : lo + _BLOCK]
+        if not np.isfinite(part, out=finite[: part.size]).all():
+            for name, tensor in params.items():
+                if not np.isfinite(tensor.grad_slot).all():
+                    raise ContractError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t

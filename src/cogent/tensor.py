@@ -28,8 +28,13 @@ this. `logsumexp` and `l2_normalize` are plain compositions of primitive
 ops: fused, they gained nothing measurable.
 
 Gradient accumulation is additive: callers must zero gradients between
-optimization steps. The first gradient of a pass is written as 0 + g, into
-the tensor's `grad_slot` when the optimizer has set one.
+optimization steps. A leaf adds each piece of its gradient as the backward
+walk hands it over, so no parameter gradient waits in the walk's pending
+sums. The first piece of a pass is written as 0 + g, into the tensor's
+`grad_slot` when the optimizer has set one; a product with a 2-D weight
+writes the weight's first piece straight into that slot, so no second copy
+of it is made. The + 0 only turns a -0.0 into +0.0, so (g1 + 0) + g2 equals
+a pending sum's (g1 + g2) + 0 bit for bit.
 
 Passes that only read values (the pretraining sanity loss, validation,
 inference, the finite-difference loop) run inside `no_grad()`. Within that
@@ -168,7 +173,11 @@ class Tensor:
                 node._accumulate(g)
             if node._backward is not None:
                 for parent, pg in node._backward(g):
-                    if not _needs_grad(parent):
+                    if not parent._parents:
+                        # a leaf sums its pieces as they arrive, in the order
+                        # a pending sum would: (g1 + 0) + g2 == (g1 + g2) + 0
+                        if parent.requires_grad:
+                            parent._accumulate(pg)
                         continue
                     key = id(parent)
                     if key in grads:
@@ -204,10 +213,6 @@ class Tensor:
 
     def transpose(self, *axes):
         return transpose(self, *axes)
-
-
-def _needs_grad(t: Tensor) -> bool:
-    return t.requires_grad or t._parents != ()
 
 
 def _coerce(x) -> Tensor:
@@ -443,12 +448,16 @@ def matmul(a, b) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(rows, n)
-            ga = (g2 @ b.data.T).reshape(a.shape)
+            ga = (g2 @ b.data.T).reshape(a.shape).astype(a.data.dtype, copy=False)
+            slot = b.grad_slot
+            first = b.requires_grad and b.grad is None and slot is not None
+            if first and slot.dtype == out_dtype:
+                # the weight's first gradient of this pass goes straight
+                # into its optimizer slot, as `_accumulate`'s 0 + g
+                b.grad = np.add(np.matmul(a2.T, g2, out=slot), 0, out=slot)
+                return ((a, ga),)
             gb = a2.T @ g2
-            return (
-                (a, ga.astype(a.data.dtype, copy=False)),
-                (b, gb.astype(b.data.dtype, copy=False)),
-            )
+            return ((a, ga), (b, gb.astype(b.data.dtype, copy=False)))
 
     else:
         data = np.matmul(_as64(a.data), _as64(b.data))

@@ -21,9 +21,12 @@ the encoder `patchify`'s all-patches layout. Both stages take one optimizer
 step, which, like the sanity pass, runs with numpy's overflow, invalid and
 divide-by-zero results raised, so accepted settings that leave the float
 range end in a ConfigError naming the stage, epoch, batch and step settings.
-`evaluate` and `export_embeddings` rebuild the model from the settings
-`config.read_run_config` reads off the checkpoint and refuse samples that do
-not fit it.
+Each stage drops a step's graph before its next forward pass starts, so one
+step's graph is alive at a time. `evaluate` and `export_embeddings` rebuild
+the model from the settings `config.read_run_config` reads off the
+checkpoint and refuse samples that do not fit it. They normalize the split
+and run its forward pass with the same results raised, so a split that
+leaves the float range there ends in a ConfigError naming the step.
 """
 
 from __future__ import annotations
@@ -166,24 +169,25 @@ def _loss_parts(values, params, settings: RunSettings, rngs):
 
 
 @contextmanager
-def _finite(settings: RunSettings, stage: str, where: str):
+def _finite(stage: str, where: str, settings: RunSettings | None = None):
     """Raise numpy's overflow, invalid and divide-by-zero results, and report
-    one as a ConfigError (accepted settings left the float range) naming the
-    stage, `where` ("at epoch 3 batch 1") and the settings that scale a step."""
+    one as a ConfigError naming the stage and `where` ("at epoch 3 batch 1").
+    A training stage passes its `settings` (accepted settings left the float
+    range), and the message also names those that scale a step."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             yield
     except FloatingPointError as e:
-        lr = "lr_pretrain" if stage == "pretraining" else "lr_finetune"
-        names = [("train", lr), ("train", "weight_decay")]
-        if stage == "pretraining":
-            names += [("loss", "tau"), ("loss", "lambda_c"), ("loss", "lambda_r")]
-            names.append(("augment", "epsilon"))
-        scale = (f"{s}.{k}={getattr(getattr(settings, s), k)}" for s, k in names)
-        raise ConfigError(
-            f"{stage} turned non-finite {where} ({e}); the settings that "
-            f"scale a step: {', '.join(scale)}"
-        ) from None
+        message = f"{stage} turned non-finite {where} ({e})"
+        if settings is not None:
+            lr = "lr_pretrain" if stage == "pretraining" else "lr_finetune"
+            names = [("train", lr), ("train", "weight_decay")]
+            if stage == "pretraining":
+                names += [("loss", "tau"), ("loss", "lambda_c"), ("loss", "lambda_r")]
+                names.append(("augment", "epsilon"))
+            scale = (f"{s}.{k}={getattr(getattr(settings, s), k)}" for s, k in names)
+            message += f"; the settings that scale a step: {', '.join(scale)}"
+        raise ConfigError(message) from None
 
 
 def _adam(params: ModelParams, tc: TrainConfig, lr: float):
@@ -311,7 +315,7 @@ def pretrain(
     pre, sanity = split_pretrain(corpus.train, settings.split)
     pre, norm_mean, norm_std = normalize(pre)
     sanity = apply_normalization(sanity, norm_mean, norm_std)
-    with _finite(settings, "pretraining", "building the sanity split's views"):
+    with _finite("pretraining", "building the sanity split's views", settings):
         sanity = _sanity_set(sanity, settings)
     proj_tokens = n_patches if settings.keep_zeroed else None
     params = init_params(
@@ -339,12 +343,13 @@ def pretrain(
                 _rng(tc.seed, _MASK_ORIG, epoch, bi),
                 _rng(tc.seed, _MASK_AUG, epoch, bi),
             )
-            with _finite(settings, "pretraining", f"at epoch {epoch} batch {bi}"):
+            with _finite("pretraining", f"at epoch {epoch} batch {bi}", settings):
                 parts = _loss_parts(values, params, settings, rngs)
                 if lambdas is None:
                     lambdas = balance_lambdas(parts[0].item(), parts[3].item())
                 total, report = joint_loss(settings.loss, *lambdas, *parts)
                 _step(total, params, adam_state, adam_cfg)
+                del parts, total  # the step's graph, before the next forward
             epoch_reports.append(report)
         if not epoch_reports:
             raise ConfigError(
@@ -352,7 +357,7 @@ def pretrain(
             )
         entry = _mean_report(epoch_reports)
         entry["epoch"] = epoch
-        with _finite(settings, "pretraining", f"at epoch {epoch}'s sanity pass"):
+        with _finite("pretraining", f"at epoch {epoch}'s sanity pass", settings):
             sanity_total = _sanity_loss(sanity, params, settings, lambdas)
         entry["sanity_total"] = sanity_total
         log.append(entry)
@@ -472,10 +477,11 @@ def finetune(
                 subset, tc.batch_size, seed=tc.seed, epoch=epoch, drop_last=False
             )
         ):
-            with _finite(settings, "fine-tuning", f"at epoch {epoch} batch {bi}"):
+            with _finite("fine-tuning", f"at epoch {epoch} batch {bi}", settings):
                 tokens = patchify(values, ft_patch)
-                logits, _ = classify(encode(*tokens, params), params)
+                logits = classify(encode(*tokens, params), params)[0]
                 _step(cross_entropy(logits, labels), params, adam_state, adam_cfg)
+                del logits  # the step's graph, before the next forward
         if (epoch + 1) % tc.eval_every == 0 or epoch == tc.epochs_finetune - 1:
             report = _evaluate_params(params, ft_patch, val, tc.batch_size)
             if best is None or report.f1 > best[0]:
@@ -499,11 +505,12 @@ def _forward_logits(params, patch_cfg, samples, batch_size):
     per sample, forward only, in batches of `batch_size`."""
     rows = []
     with no_grad():
-        for values, _ in make_batches(
-            samples, batch_size, drop_last=False, shuffle=False
+        for bi, (values, _) in enumerate(
+            make_batches(samples, batch_size, drop_last=False, shuffle=False)
         ):
-            z = encode(*patchify(values, patch_cfg), params)
-            logits, hidden = classify(z, params)
+            with _finite("the forward pass", f"at batch {bi}"):
+                z = encode(*patchify(values, patch_cfg), params)
+                logits, hidden = classify(z, params)
             rows.append((logits.data, hidden.data))
     return tuple(np.concatenate(col) for col in zip(*rows))
 
@@ -538,11 +545,12 @@ def _inference_inputs(ckpt: Checkpoint, samples: Samples):
     if bad.size:
         i = bad[0]
         raise ConfigError(f"sample {i} (label {labels[i]}) does not fit {fits}")
-    normed = apply_normalization(
-        samples,
-        np.array(ckpt.norm_mean, dtype=np.float32),
-        np.array(ckpt.norm_std, dtype=np.float32),
-    )
+    with _finite("the split", "under the checkpoint's normalization"):
+        normed = apply_normalization(
+            samples,
+            np.array(ckpt.norm_mean, dtype=np.float32),
+            np.array(ckpt.norm_std, dtype=np.float32),
+        )
     return params, patch_cfg, normed
 
 

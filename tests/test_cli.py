@@ -521,8 +521,27 @@ class TestFinetuneEvaluateExport:
         assert "does not match the checkpoint" in capsys.readouterr().err
 
 
+def huge_even_rows(value: str):
+    """A row edit: even rows alternate +-value, finite in float32. 3e38
+    overflows the normalization, 1e30 the forward pass (layer norm squares
+    it)."""
+
+    def edit(rows):
+        out = []
+        for i, row in enumerate(rows):
+            if i % 2 == 0:
+                label, *values = row.rstrip("\n").split(",")
+                signs = ("" if k % 2 == 0 else "-" for k in range(len(values)))
+                row = ",".join([label, *(s + value for s in signs)]) + "\n"
+            out.append(row)
+        return out
+
+    return edit
+
+
 class TestUnusableCorpus:
-    """Corpus contents a stage cannot use end in exit 1, not exit 2."""
+    """Corpus contents a stage cannot use end in exit 1, not exit 2; the
+    suite turns any RuntimeWarning on the way into an error."""
 
     @pytest.mark.parametrize(
         "command, name, keep, message",
@@ -536,6 +555,17 @@ class TestUnusableCorpus:
                 "export-embeddings", "test.csv", lambda rows: [],
                 "the test split ({bad}/test.csv) is empty",
                 id="export-empty-test",
+            ),
+            *(
+                pytest.param(
+                    command, "test.csv", huge_even_rows(value), message,
+                    id=f"{command}-test-near-{value}",
+                )
+                for command in ("evaluate", "export-embeddings")
+                for value, message in (
+                    ("3e38", "the split turned non-finite under the checkpoint's"),
+                    ("1e30", "the forward pass turned non-finite at batch 0"),
+                )
             ),
             pytest.param(
                 "finetune",
@@ -570,7 +600,8 @@ class TestUnusableCorpus:
         }[command]
         rc = main([command, "--data", str(bad)] + args)
         assert rc == 1
-        assert message.format(bad=bad) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message.format(bad=bad) in err and "Traceback" not in err
 
 
 class TestAblateCommand:

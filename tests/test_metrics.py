@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,17 @@ class TestSilhouette:
     def test_single_cluster_is_zero(self):
         x = np.random.default_rng(5).normal(size=(10, 2))
         assert silhouette_score(x, np.zeros(10, dtype=int)) == 0.0
+
+    def test_memory_grows_with_rows_times_width(self):
+        # an n x n x d difference array would take 300 times the input's
+        # float64 bytes here
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(300, 64)).astype(np.float32)
+        labels = np.arange(300) % 3
+        tracemalloc.start()
+        try:
+            silhouette_score(x, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * x.size * 8, peak

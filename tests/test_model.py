@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cogent import model
 from cogent.data import DatasetMeta
 from cogent.errors import ConfigError, ContractError
 from cogent.losses import LossConfig, patch_reconstruction_term
@@ -83,6 +84,23 @@ class TestInitParams:
             "patch_proj", "cls_token", "mask_token", "enc", "dec", "dec_head",
             "proj", "clf",
         }
+
+    def test_pretraining_draws_no_classifier(self, monkeypatch):
+        # the classifier is drawn last, so pretraining stops before it
+        shapes = []
+
+        def recording(rng, shape, *args, **kwargs):
+            shapes.append(shape)
+            return _trunc_normal(rng, shape, *args, **kwargs)
+
+        monkeypatch.setattr(model, "_trunc_normal", recording)
+        tuned = micro_setup()[3]
+        clf = {tuned[f"clf.{n}.w"].shape for n in ("fc1", "fc2")}
+        assert clf <= set(shapes)
+        for loss in LAYOUTS[1:]:
+            shapes.clear()
+            micro_setup(loss=loss)
+            assert shapes and not clf & set(shapes), loss
 
     def test_layer_norm_gains_exactly_one(self):
         for loss in LAYOUTS:

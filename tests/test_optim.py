@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from cogent import optim
 from cogent.data import DatasetMeta
 from cogent.errors import ContractError
-from cogent.model import ModelConfig, init_params
+from cogent.losses import cross_entropy
+from cogent.model import ModelConfig, classify, encode, init_params
 from cogent.optim import AdamConfig, AdamState, adam_step, decayed
-from cogent.patchmask import PatchConfig
+from cogent.patchmask import PatchConfig, patchify
 from cogent.tensor import Tensor, tsum
 
 # The closed-form first Adam step lives in cogent.selfcheck (run by
@@ -99,6 +101,31 @@ class TestAdamStep:
         for name, t in params.items():
             assert np.array_equal(t.data, before[name]), name
             assert not state.m[name].any() and not state.v[name].any(), name
+
+    def test_finite_check_allocates_nothing_gradient_sized(self):
+        # "big.w" spans 32 update blocks; a mask of the whole gradient row
+        # would take one byte per element
+        rows = 32 * optim._BLOCK // 1024
+        big = Tensor(np.ones((rows, 1024), np.float32), requires_grad=True)
+        params = dataclasses.replace(tiny_params(), tensors={"big.w": big})
+        state = AdamState.for_params(params)
+        big.grad_slot[...] = 1e-3
+        big.grad_slot[-1, -1] = np.inf  # in the last block
+        big.grad = big.grad_slot
+        before = state.buffer.copy()
+        with pytest.raises(ContractError, match="big.w"):
+            adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.5))
+        assert state.step == 0
+        assert np.array_equal(state.buffer, before)
+        big.grad_slot[-1, -1] = 1e-3
+        tracemalloc.start()
+        try:
+            adam_step(params, state, AdamConfig(lr=0.1, weight_decay=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert state.step == 1
+        assert peak < big.data.size, peak
 
     def test_decay_never_touches_norms_biases_tokens(self):
         assert decayed("enc.0.attn.wq.w")
@@ -259,3 +286,29 @@ class TestFlatBuffer:
         params.tensors["cls_token"].data = params["cls_token"].data.astype(np.float64)
         with pytest.raises(ContractError, match="one dtype"):
             AdamState.for_params(params)
+
+
+class TestGradientSlots:
+    def test_backward_writes_the_largest_weight_gradient_into_its_slot(self):
+        # the classifier's first weight holds most of this model's values;
+        # backward writes its gradient into the optimizer's slot and makes no
+        # second copy of it
+        meta = DatasetMeta(T=1024, D=1, num_classes=2, name="wide")
+        patch_cfg = PatchConfig(L=16, theta=0.0)
+        cfg = ModelConfig(d_model=32, n_blocks=1, n_heads=2, mlp_ratio=2, proj_dim=2)
+        params = init_params(cfg, patch_cfg, meta)
+        AdamState.for_params(params)
+        w = params["clf.fc1.w"]
+        assert w.data.size > params.total_params() / 2
+        values = np.random.default_rng(0).normal(size=(2, 1024, 1)).astype(np.float32)
+        logits = classify(encode(*patchify(values, patch_cfg), params), params)[0]
+        loss = cross_entropy(logits, np.array([0, 1]))
+        tracemalloc.start()
+        try:
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w.grad is w.grad_slot
+        assert np.any(w.grad)
+        assert peak < w.data.nbytes, (peak, w.data.nbytes)

@@ -375,6 +375,26 @@ class TestGraphMechanics:
         assert not np.signbit(x.grad[0])
         assert (x.grad is x.grad_slot) == slot
 
+    def test_weight_used_thrice_same_bits_with_and_without_slot(self):
+        # only a weight's first gradient of a pass may go straight into its
+        # slot; the later pieces add to it in the order they arrive
+        rng = np.random.default_rng(12)
+        x1 = Tensor(rng.normal(size=(2, 5, 6)).astype(np.float32))
+        x2 = Tensor(rng.normal(size=(3, 6)).astype(np.float32))
+        scale = Tensor(rng.normal(size=(6, 4)).astype(np.float32))
+        w0 = rng.normal(size=(6, 4)).astype(np.float32)
+        grads = []
+        for slot in (False, True):
+            w = Tensor(w0.copy(), requires_grad=True)
+            if slot:
+                w.grad_slot = np.full_like(w0, np.nan)
+            y = matmul(x2, w)
+            loss = tsum(gelu(matmul(x1, w))) + tsum(y * y) + tsum(w * scale)
+            loss.backward()
+            assert (w.grad is w.grad_slot) == slot
+            grads.append(w.grad.copy())
+        assert grads[0].tobytes() == grads[1].tobytes()
+
     def test_diamond_graph(self):
         x = Tensor(np.array([3.0], dtype=np.float32), requires_grad=True)
         y = x * x

@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -287,6 +288,29 @@ class TestForwardOnlyPasses:
         total.backward()
         missing = [name for name, t in params.items() if t.grad is None]
         assert missing == []
+
+
+class TestOneGraphAtATime:
+    @pytest.mark.parametrize("stage", ["pretraining", "fine-tuning"])
+    def test_a_steps_graph_is_freed_before_the_next_forward(
+        self, stage, corpus, cogent_ckpt, monkeypatch
+    ):
+        graphs = []
+
+        def recording_encode(*args):
+            assert all(ref() is None for ref in graphs), "a step's graph is alive"
+            z = encode(*args)
+            if z._parents:  # a training step's; its slices view z.data
+                graphs.append(weakref.ref(z.data))
+            return z
+
+        monkeypatch.setattr(trainer, "encode", recording_encode)
+        settings = make_settings(seed=0, epochs_pretrain=2, epochs_finetune=2)
+        if stage == "pretraining":
+            pretrain(corpus, settings)
+        else:
+            finetune(cogent_ckpt[0], corpus, settings)
+        assert len(graphs) > 2
 
 
 class TestFinetune:
