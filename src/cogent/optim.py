@@ -8,6 +8,9 @@ never to layer-norm gains/biases, bias vectors, or the cls/mask tokens.
 tensor's `.data` and `grad_slot`, and `state.m[name]`/`state.v[name]`, are
 views into those buffers, so a step is one sweep over one buffer, a
 cache-sized block at a time: one stretch with weight decay, one without.
+Sweeps of at least `_POOL_SWEEP` elements, and finite checks of at least
+`_POOL_CHECK`, also hand blocks to `parallel`'s worker threads; a block's
+arithmetic is the same on any thread, so no bit depends on the core count.
 A step updates the parameter values in place. A caller that keeps parameter
 values across steps must copy them, as checkpoint snapshots do.
 """
@@ -18,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import parallel
 from .errors import ContractError
 from .model import ModelParams
 
@@ -70,6 +74,10 @@ class AdamState:
 # moments and the two scratch buffers stays in cache across the ~15 passes
 # of one update; 64K elements measured fastest on paper-scale tensors.
 _BLOCK = 1 << 16
+# Sweeps and finite checks of this many elements run their blocks on the
+# pool too (see `parallel`): ~3 ms of update, ~2 ms of checking.
+_POOL_SWEEP = 1 << 20
+_POOL_CHECK = 1 << 24
 
 
 def decayed(name: str) -> bool:
@@ -85,7 +93,7 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
     buffer first. All gradients are checked before any parameter, moment or
     the step counter changes, so a refused step leaves the state as it was.
     The check reads the gradient row a block at a time through one small
-    reused mask, so it allocates nothing gradient-sized.
+    mask per thread, so it allocates nothing gradient-sized.
     """
     for name, tensor in params.items():
         if tensor.grad is None:
@@ -97,13 +105,21 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
         if tensor.grad is not tensor.grad_slot:
             tensor.grad_slot[...] = tensor.grad
     grads = state.buffer[1]
-    finite = np.empty(min(grads.size, _BLOCK), bool)
-    for lo in range(0, grads.size, _BLOCK):
-        part = grads[lo : lo + _BLOCK]
-        if not np.isfinite(part, out=finite[: part.size]).all():
-            for name, tensor in params.items():
-                if not np.isfinite(tensor.grad_slot).all():
-                    raise ContractError(f"non-finite gradient in parameter {name!r}")
+    mask = parallel.per_thread(lambda: np.empty(min(grads.size, _BLOCK), bool))
+    bad: list[int] = []
+
+    def check(i):
+        if bad:
+            return
+        part = grads[i * _BLOCK : (i + 1) * _BLOCK]
+        if not np.isfinite(part, out=mask()[: part.size]).all():
+            bad.append(i)
+
+    parallel.each(check, -(-grads.size // _BLOCK), pool=grads.size >= _POOL_CHECK)
+    if bad:
+        for name, tensor in params.items():
+            if not np.isfinite(tensor.grad_slot).all():
+                raise ContractError(f"non-finite gradient in parameter {name!r}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - cfg.beta1**t
@@ -116,10 +132,13 @@ def adam_step(params: ModelParams, state: AdamState, cfg: AdamConfig) -> None:
 def _sweep(buffer: np.ndarray, cfg: AdamConfig, bc1: float, bc2: float, decay: bool):
     """Update the values and moments of `buffer`'s columns in place."""
     size = buffer.shape[1]
-    scratch = np.empty((2, min(size, _BLOCK)), buffer.dtype)
-    for lo in range(0, size, _BLOCK):
-        data, g, m, v = buffer[:, lo : lo + _BLOCK]
-        buf, den = scratch[:, : data.size]
+    scratch = parallel.per_thread(
+        lambda: np.empty((2, min(size, _BLOCK)), buffer.dtype)
+    )
+
+    def block(i):
+        data, g, m, v = buffer[:, i * _BLOCK : (i + 1) * _BLOCK]
+        buf, den = scratch()[:, : data.size]
         np.multiply(g, 1.0 - cfg.beta1, out=buf)
         m *= cfg.beta1
         m += buf
@@ -140,3 +159,5 @@ def _sweep(buffer: np.ndarray, cfg: AdamConfig, bc1: float, bc2: float, decay: b
             np.multiply(data, cfg.lr * cfg.weight_decay, out=den)
             buf += den
         data -= buf
+
+    parallel.each(block, -(-size // _BLOCK), pool=size >= _POOL_SWEEP)

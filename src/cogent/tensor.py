@@ -17,7 +17,18 @@ and gradient then runs in float64.
 `gelu` is exact, x * Phi(x). Its erf is a numpy port of Cephes' erf/erfc
 (ndtr.c, the code behind `scipy.special.erf`): evaluated in float64, then
 rounded to the storage dtype, so in float32 it is bit-identical to scipy's
-erf. The forward pass runs in blocks that keep the float64 scratch in cache.
+erf. The forward and backward passes run in blocks that keep their scratch
+in cache.
+
+Two kinds of work also run on `parallel`'s worker threads, beside the
+caller, when the machine has a spare core: gelu's blocks, for calls
+of at least `_POOL_GELU` elements, and a 2-D product's two gradient GEMMs,
+side by side, from `_POOL_MACS` multiply-adds each, but only while numpy's
+bundled OpenBLAS runs a GEMM on one thread (where its thread count cannot be
+read, no GEMM is handed over). A block or GEMM makes the same numpy calls on
+whichever thread runs it, so no bit depends on the core count or on which
+thread ran what; nor on BLAS's thread count, which `tests/test_parallel.py`
+checks at one and two threads.
 
 `layer_norm` and `softmax` are each a single graph node, kept because they
 are measurably faster than their graphs. Their forward pass and backward
@@ -53,6 +64,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import parallel
 from .errors import ContractError
 
 __all__ = [
@@ -448,15 +460,27 @@ def matmul(a, b) -> Tensor:
 
         def backward(g):
             g2 = g.reshape(rows, n)
-            ga = (g2 @ b.data.T).reshape(a.shape).astype(a.data.dtype, copy=False)
             slot = b.grad_slot
             first = b.requires_grad and b.grad is None and slot is not None
-            if first and slot.dtype == out_dtype:
-                # the weight's first gradient of this pass goes straight
-                # into its optimizer slot, as `_accumulate`'s 0 + g
-                b.grad = np.add(np.matmul(a2.T, g2, out=slot), 0, out=slot)
+            direct = first and slot.dtype == out_dtype
+            grads = [None, None]
+
+            def product(i):
+                if i == 0:
+                    ga = (g2 @ b.data.T).reshape(a.shape)
+                    grads[0] = ga.astype(a.data.dtype, copy=False)
+                elif direct:
+                    # the weight's first gradient of this pass goes straight
+                    # into its optimizer slot, as `_accumulate`'s 0 + g
+                    grads[1] = np.add(np.matmul(a2.T, g2, out=slot), 0, out=slot)
+                else:
+                    grads[1] = a2.T @ g2
+
+            parallel.each(product, 2, pool=_pools_gemm(rows * a2.shape[1] * n))
+            ga, gb = grads
+            if direct:
+                b.grad = gb
                 return ((a, ga),)
-            gb = a2.T @ g2
             return ((a, ga), (b, gb.astype(b.data.dtype, copy=False)))
 
     else:
@@ -472,6 +496,17 @@ def matmul(a, b) -> Tensor:
             )
 
     return _result(data.astype(out_dtype, copy=False), (a, b), backward)
+
+
+# A 2-D product's two gradient GEMMs run side by side from this many
+# multiply-adds each (~1.2 ms apiece on one AVX-512 Xeon core, at ~56 G/s),
+# and only while BLAS runs a GEMM on one thread: beside a two-thread GEMM, a
+# second one made both slower.
+_POOL_MACS = 1 << 26
+
+
+def _pools_gemm(macs: int) -> bool:
+    return macs >= _POOL_MACS and parallel.blas_threads() == 1
 
 
 def _as64(x: np.ndarray) -> np.ndarray:
@@ -602,13 +637,20 @@ def gelu(a) -> Tensor:
     data, phi_cdf = _gelu_forward(x)
 
     def backward(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        return ((a, g * (phi_cdf + x * pdf)),)
+        return ((a, _gelu_backward(g, x, phi_cdf)),)
 
     return _result(data, (a,), backward)
 
 
 _GELU_BLOCK = 1 << 15  # elements; a block's float64 erf scratch stays in cache
+# gelu calls of this many elements run their blocks on the pool too: ~6 ms
+# of forward and ~1 ms of backward work
+_POOL_GELU = 1 << 19
+
+
+def _gelu_blocks(size: int) -> tuple[int, bool]:
+    """(blocks, pool) of a gelu pass over `size` elements."""
+    return -(-size // _GELU_BLOCK), size >= _POOL_GELU
 
 
 def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -622,17 +664,43 @@ def _gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     data = np.empty_like(flat)
     cdf = np.empty_like(flat)
     n = min(flat.size, _GELU_BLOCK)
-    erf64, w, q = (np.empty(n) for _ in range(3))
-    for start in range(0, flat.size, _GELU_BLOCK):
-        stop = start + _GELU_BLOCK
-        xb, cb = flat[start:stop], cdf[start:stop]
-        k = xb.size
+    scratch = parallel.per_thread(lambda: [np.empty(n) for _ in range(3)])
+
+    def block(i):
+        xb, cb = (arr[i * _GELU_BLOCK : (i + 1) * _GELU_BLOCK] for arr in (flat, cdf))
+        erf64, w, q = (arr[: xb.size] for arr in scratch())
         z = np.multiply(xb, _INV_SQRT2, out=cb)
-        np.copyto(cb, _erf_into(z, erf64[:k], w[:k], q[:k]), casting="same_kind")
+        np.copyto(cb, _erf_into(z, erf64, w, q), casting="same_kind")
         np.add(cb, 1.0, out=cb)
         np.multiply(cb, 0.5, out=cb)
-        np.multiply(xb, cb, out=data[start:stop])
+        np.multiply(xb, cb, out=data[i * _GELU_BLOCK : (i + 1) * _GELU_BLOCK])
+
+    parallel.each(block, *_gelu_blocks(flat.size))
     return data.reshape(x.shape), cdf.reshape(x.shape)
+
+
+def _gelu_backward(g: np.ndarray, x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """g * (Phi(x) + x * pdf) with pdf = exp((-0.5 * x) * x) / sqrt(2 pi),
+    block by block, each step the whole-array expression's, in its order."""
+    xf, cf, gf = x.reshape(-1), cdf.reshape(-1), g.reshape(-1)
+    out = np.empty(xf.shape, np.result_type(g.dtype, x.dtype))
+    scratch = parallel.per_thread(lambda: np.empty(min(xf.size, _GELU_BLOCK), x.dtype))
+
+    def block(i):
+        xb, cb, gb, ob = (
+            arr[i * _GELU_BLOCK : (i + 1) * _GELU_BLOCK] for arr in (xf, cf, gf, out)
+        )
+        t = scratch()[: xb.size]
+        np.multiply(xb, -0.5, out=t)
+        np.multiply(t, xb, out=t)
+        np.exp(t, out=t)
+        np.multiply(t, _INV_SQRT2PI, out=t)
+        np.multiply(xb, t, out=t)
+        np.add(cb, t, out=t)
+        np.multiply(gb, t, out=ob)
+
+    parallel.each(block, *_gelu_blocks(xf.size))
+    return out.reshape(x.shape)
 
 
 def exp(a) -> Tensor:

@@ -24,9 +24,10 @@ range end in a ConfigError naming the stage, epoch, batch and step settings.
 Each stage drops a step's graph before its next forward pass starts, so one
 step's graph is alive at a time. `evaluate` and `export_embeddings` rebuild
 the model from the settings `config.read_run_config` reads off the
-checkpoint and refuse samples that do not fit it. They normalize the split
-and run its forward pass with the same results raised, so a split that
-leaves the float range there ends in a ConfigError naming the step.
+checkpoint and refuse samples that do not fit it. Every stage normalizes
+its splits with the same results raised, and `evaluate` and
+`export_embeddings` run their forward pass that way too, so a split that
+leaves the float range ends in a ConfigError naming the split or the step.
 """
 
 from __future__ import annotations
@@ -313,8 +314,10 @@ def pretrain(
                 "and loss.reconstruct_target masked scores only hidden patches"
             )
     pre, sanity = split_pretrain(corpus.train, settings.split)
-    pre, norm_mean, norm_std = normalize(pre)
-    sanity = apply_normalization(sanity, norm_mean, norm_std)
+    with _finite("pretraining", "while normalizing the pretraining split"):
+        pre, norm_mean, norm_std = normalize(pre)
+    with _finite("pretraining", "while normalizing the sanity split"):
+        sanity = apply_normalization(sanity, norm_mean, norm_std)
     with _finite("pretraining", "building the sanity split's views", settings):
         sanity = _sanity_set(sanity, settings)
     proj_tokens = n_patches if settings.keep_zeroed else None
@@ -442,8 +445,10 @@ def finetune(
     if not corpus.val:
         raise ConfigError("the val split is empty; fine-tuning selects on it")
     subset = sample_finetune_subset(corpus.train, settings.split)
-    subset, norm_mean, norm_std = normalize(subset)
-    val = apply_normalization(corpus.val, norm_mean, norm_std)
+    with _finite("fine-tuning", "while normalizing the label subset"):
+        subset, norm_mean, norm_std = normalize(subset)
+    with _finite("fine-tuning", "while normalizing the val split"):
+        val = apply_normalization(corpus.val, norm_mean, norm_std)
     ft_patch = replace(settings.patch, theta=0.0)
     params = init_params(settings.model, ft_patch, meta)
     if ckpt is not None:

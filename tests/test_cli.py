@@ -205,6 +205,49 @@ class TestPretrainCommand:
         assert flag.split(".")[1] in err
         assert not (tmp_path / "best.ckpt").exists()
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("lambda_policy", "unknown lambda policy 'x'; use ('auto', 'fixed')"),
+            (
+                "reconstruct_target",
+                "unknown reconstruction target 'x'; use ('visible', 'masked')",
+            ),
+            ("recon_views", "unknown recon_views 'x'; use ('both', 'orig')"),
+        ],
+    )
+    def test_unknown_loss_choice_exits_1(
+        self, micro_dir, tmp_path, capsys, key, message
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                ["pretrain", "--data", str(micro_dir), "--out", str(tmp_path)]
+                + MICRO
+                + [f"--loss.{key}", "x"]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration") and message in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "best.ckpt").exists()
+
+    def test_batch_larger_than_the_pretraining_split_exits_1(
+        self, micro_dir, tmp_path, capsys
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                ["pretrain", "--data", str(micro_dir), "--out", str(tmp_path)]
+                + MICRO
+                + ["--train.batch_size", "1000"]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "no pretraining batches: batch_size exceeds the pretrain split" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "best.ckpt").exists()
+
 
     @pytest.mark.parametrize(
         "args, key",
@@ -345,6 +388,33 @@ class TestPretrainCommand:
         assert rc == 1
         assert f"error: {bad / name}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "cell, value, message",
+        [
+            (0, "1.5", "label column is not an integer: '1.5'"),
+            (5, "0x1p3", "bad float value (could not convert string to float"),
+            (5, "inf", "non-finite value in row"),
+            (5, "nan", "non-finite value in row"),
+        ],
+        ids=["label-not-integer", "bad-float", "inf", "nan"],
+    )
+    def test_malformed_row_exits_1_naming_its_line(
+        self, micro_dir, tmp_path, capsys, cell, value, message
+    ):
+        bad = copy_corpus(micro_dir, tmp_path / "badcorpus")
+        rows = (bad / "train.csv").read_text().splitlines(keepends=True)
+        cells = rows[2].rstrip("\n").split(",")
+        cells[cell] = value
+        rows[2] = ",".join(cells) + "\n"
+        (bad / "train.csv").write_text("".join(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["pretrain", "--data", str(bad), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad / 'train.csv'}:3: {message}")
+        assert "Traceback" not in err
+
 
 @pytest.fixture(scope="module")
 def finetune_dir(tmp_path_factory, corpus_dir, pretrain_dir):
@@ -444,6 +514,29 @@ class TestFinetuneEvaluateExport:
         )
         assert rc == 1
         assert "already fine-tuned" in capsys.readouterr().err
+
+    def test_checkpoint_lacking_encoder_tensors_exits_1(
+        self, corpus_dir, pretrain_dir, tmp_path, capsys
+    ):
+        ckpt = load_checkpoint(pretrain_dir / "best.ckpt")
+        del ckpt.params["enc.0.attn.wq.w"]
+        save_checkpoint(ckpt, tmp_path / "partial.ckpt")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                [
+                    "finetune",
+                    "--data", str(corpus_dir),
+                    "--out", str(tmp_path / "out"),
+                    "--from", str(tmp_path / "partial.ckpt"),
+                ]
+                + SMALL
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "checkpoint lacks encoder tensors: enc.0.attn.wq.w" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "finetuned.ckpt").exists()
 
     def test_checkpoints_with_a_key_bias_still_work(
         self, corpus_dir, pretrain_dir, finetune_dir, tmp_path
@@ -579,6 +672,11 @@ class TestUnusableCorpus:
                 id="finetune-empty-val",
             ),
             pytest.param(
+                "finetune", "val.csv", huge_even_rows("3e38"),
+                "fine-tuning turned non-finite while normalizing the val split",
+                id="finetune-val-near-3e38",
+            ),
+            pytest.param(
                 "pretrain", "train.csv", lambda rows: rows[:1],
                 "train split has 1 row", id="pretrain-one-train-row",
             ),
@@ -598,7 +696,9 @@ class TestUnusableCorpus:
             "finetune": ["--out", out] + SMALL,
             "pretrain": ["--out", out] + SMALL,
         }[command]
-        rc = main([command, "--data", str(bad)] + args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--data", str(bad)] + args)
         assert rc == 1
         err = capsys.readouterr().err
         assert message.format(bad=bad) in err and "Traceback" not in err
