@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .losses import _FLOAT32_MAX
+from .errors import require_choice, require_range
 
 KINDS = ("jitter", "time_mask")
 
@@ -25,18 +24,10 @@ class AugmentConfig:
     mask_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown augmentation kind {self.kind!r}; use {KINDS}")
+        require_choice("augmentation kind", self.kind, KINDS)
         # epsilon scales float32 noise, so it must be a float32 value
-        if not 0 <= self.epsilon <= _FLOAT32_MAX:
-            raise ConfigError(
-                f"epsilon must be in [0, {_FLOAT32_MAX:.8g}] (the float32 range), "
-                f"got {self.epsilon}"
-            )
-        if not 0.0 <= self.mask_fraction < 1.0:
-            raise ConfigError(
-                f"mask_fraction must be in [0, 1), got {self.mask_fraction}"
-            )
+        require_range("epsilon", self.epsilon, 0.0)
+        require_range("mask_fraction", self.mask_fraction, 0.0, 1.0, open_hi=True)
 
 
 def jitter(x: np.ndarray, epsilon: float, rng: np.random.Generator) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Layout: 8-byte magic ``COGENT02``, little-endian uint64 manifest length, the
 UTF-8 JSON manifest (parameter names/shapes/offsets, config and its digest,
-loss weights, epoch, normalization stats), then the little-endian float32
-parameter payload in manifest order. No optimizer state is stored.
+epoch, normalization stats), then the little-endian float32 parameter
+payload in manifest order. No optimizer state is stored. The loss weights a
+pretraining run used are in its loss log, not here; the `lambda_c` and
+`lambda_r` keys that older COGENT02 manifests carry are ignored on load.
 
 A checkpoint holds only the tensors of the stage that wrote it (pretraining:
 the encoder plus the heads its loss trained; fine-tuning: the encoder plus
@@ -61,8 +63,6 @@ def arch_digest(config: dict) -> str:
 class Checkpoint:
     config: dict
     params: dict[str, np.ndarray]  # insertion order defines the payload layout
-    lambda_c: float = 1.0
-    lambda_r: float = 1.0
     epoch: int = 0
     norm_mean: list[float] = field(default_factory=list)
     norm_std: list[float] = field(default_factory=list)
@@ -88,8 +88,6 @@ def _manifest_dict(ckpt: Checkpoint) -> dict:
     return {
         "config": ckpt.config,
         "config_digest": ckpt.digest,
-        "lambda_c": ckpt.lambda_c,
-        "lambda_r": ckpt.lambda_r,
         "epoch": ckpt.epoch,
         "norm_mean": ckpt.norm_mean,
         "norm_std": ckpt.norm_std,
@@ -177,8 +175,6 @@ def _parse_manifest(blob: bytes, path: Path):
         ckpt = Checkpoint(
             config=manifest["config"],
             params={},
-            lambda_c=manifest["lambda_c"],
-            lambda_r=manifest["lambda_r"],
             epoch=manifest["epoch"],
             norm_mean=manifest["norm_mean"],
             norm_std=manifest["norm_std"],

@@ -16,12 +16,10 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from .augment import AugmentConfig
 from .data import DatasetMeta, SplitPlan
-from .errors import ConfigError
-from .losses import _FLOAT32_MAX, LossConfig
+from .errors import ConfigError, require_range
+from .losses import LossConfig
 from .model import ModelConfig
 from .patchmask import PatchConfig
 
@@ -41,35 +39,16 @@ class TrainConfig:
     eval_every: int = 1
 
     def __post_init__(self):
-        positive = {
-            "epochs_pretrain": self.epochs_pretrain,
-            "epochs_finetune": self.epochs_finetune,
-            "batch_size": self.batch_size,
-            "lr_pretrain": self.lr_pretrain,
-            "lr_finetune": self.lr_finetune,
-            "adam_eps": self.adam_eps,
-            "eval_every": self.eval_every,
-        }
-        for key, value in positive.items():
-            # the floats scale float32 arrays, so a float that rounds to 0
-            # there is not positive (min() keeps a large value's cast finite)
-            if not np.float32(min(value, 1.0)) > 0:
-                raise ConfigError(f"{key} must be positive, got {value}")
-        for key, value in {"beta1": self.beta1, "beta2": self.beta2}.items():
-            if not 0.0 <= value < 1.0:
-                raise ConfigError(f"{key} must be in [0, 1), got {value}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for key in ("lr_pretrain", "lr_finetune", "adam_eps", "weight_decay"):
-            # each scales a float32 array, so it must be a float32 value
-            value = getattr(self, key)
-            if value > _FLOAT32_MAX:
-                raise ConfigError(
-                    f"{key} must be at most {_FLOAT32_MAX:.8g} (the float32 range), "
-                    f"got {value}"
-                )
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in ("epochs_pretrain", "epochs_finetune", "batch_size", "eval_every"):
+            require_range(key, getattr(self, key), 1, math.inf)
+        # these scale float32 arrays, so each is bounded by FLOAT32_MAX; above
+        # 2**-150 a rate or adam_eps also stays positive in float32
+        for key in ("lr_pretrain", "lr_finetune", "adam_eps"):
+            require_range(key, getattr(self, key), 2.0**-150, open_lo=True)
+        require_range("weight_decay", self.weight_decay, 0.0)
+        for key in ("beta1", "beta2"):
+            require_range(key, getattr(self, key), 0.0, 1.0, open_hi=True)
+        require_range("seed", self.seed, 0, math.inf)
 
 
 @dataclass

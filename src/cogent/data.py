@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError
+from .errors import ConfigError, ContractError, ParseError, require_range
 
 SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
@@ -33,10 +33,9 @@ class DatasetMeta:
     sampling_note: str = ""
 
     def __post_init__(self):
-        if self.T < 1 or self.D < 1:
-            raise ConfigError(f"T and D must be >= 1, got T={self.T}, D={self.D}")
-        if self.num_classes < 2:
-            raise ConfigError(f"num_classes must be >= 2, got {self.num_classes}")
+        require_range("T", self.T, 1, math.inf)
+        require_range("D", self.D, 1, math.inf)
+        require_range("num_classes", self.num_classes, 2, math.inf)
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,8 @@ class SplitPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.pretrain_fraction <= 1.0:
-            raise ConfigError(
-                f"pretrain_fraction must be in (0, 1], got {self.pretrain_fraction}"
-            )
-        if not 0.0 < self.finetune_label_ratio <= 1.0:
-            raise ConfigError(
-                f"finetune_label_ratio must be in (0, 1], got {self.finetune_label_ratio}"
-            )
+        for key in ("pretrain_fraction", "finetune_label_ratio"):
+            require_range(key, getattr(self, key), 0.0, 1.0, open_lo=True)
 
 
 @dataclass
@@ -281,14 +274,9 @@ def gen_synthetic(
         raise ConfigError(
             f"synthetic generator supports at most 8 classes, got {meta.num_classes}"
         )
-    if per_class < 1:
-        raise ConfigError(f"per_class must be >= 1, got {per_class}")
+    require_range("per_class", per_class, 1, math.inf)
     # sigma scales float32 noise, so it must be a float32 value
-    top = float(np.finfo(np.float32).max)
-    if not 0 <= sigma <= top:
-        raise ConfigError(
-            f"sigma must be in [0, {top:.8g}] (the float32 range), got {sigma}"
-        )
+    require_range("sigma", sigma, 0.0)
     rng = np.random.default_rng(seed)
     t = np.arange(meta.T, dtype=np.float64) / meta.T
 

@@ -1,9 +1,24 @@
-"""Exception taxonomy shared across the toolkit.
+"""Exception taxonomy shared across the toolkit, and the two checks that
+every setting's single-value rule goes through.
 
 ConfigError and ParseError are user-facing (CLI exit code 1), as is a training
 step that accepted settings take out of the float range; ContractError
 signals a violated internal precondition (CLI exit code 2).
+
+`require_range` and `require_choice` raise a ConfigError that names the
+setting, its bounds or choices, and the value given, such as
+``lr_pretrain must be in (7.0064923e-46, 3.4028235e+38], got -1e+308``.
+A NaN lies in no range, so every range refuses it. A float setting that
+scales float32 arrays keeps the default upper bound, FLOAT32_MAX, and a
+setting that must stay positive in float32 takes the open lower bound
+2**-150: a positive float rounds to 0 in float32 exactly when it is at most
+that. No check casts to float32, which would warn on overflow.
 """
+
+import math
+
+# the largest float32 value, exactly
+FLOAT32_MAX = (2 - 2**-23) * 2.0**127
 
 
 class CogentError(Exception):
@@ -20,3 +35,22 @@ class ParseError(CogentError):
 
 class ContractError(CogentError):
     """A documented precondition was violated by the caller."""
+
+
+def require_range(name, value, lo, hi=FLOAT32_MAX, *, open_lo=False, open_hi=False):
+    """Raise ConfigError unless lo <= value <= hi, with < at an open bound.
+    An infinite `hi` (an integer setting's) is shown as an open bound."""
+    above = value > lo if open_lo else value >= lo
+    below = value < hi if open_hi else value <= hi
+    if not (above and below):
+        left = "(" if open_lo else "["
+        right = ")" if open_hi or hi == math.inf else "]"
+        raise ConfigError(
+            f"{name} must be in {left}{lo:.8g}, {hi:.8g}{right}, got {value}"
+        )
+
+
+def require_choice(name, value, choices):
+    """Raise ConfigError unless `value` is one of `choices`."""
+    if value not in choices:
+        raise ConfigError(f"unknown {name} {value!r}; use {choices}")

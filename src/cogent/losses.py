@@ -14,14 +14,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import (
+    FLOAT32_MAX,
+    ConfigError,
+    ContractError,
+    require_choice,
+    require_range,
+)
 from .tensor import Tensor, concat, l2_normalize, logsumexp, matmul, tmean, tsum
 
 MODES = ("cogent", "contrastive_only", "generative_only")
 RECON_TARGETS = ("visible", "masked")
 RECON_VIEWS = ("both", "orig")
 LAMBDA_POLICIES = ("auto", "fixed")
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
@@ -36,38 +41,15 @@ class LossConfig:
     symmetric_ntxent: bool = False
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown loss mode {self.mode!r}; use {MODES}")
+        require_choice("loss mode", self.mode, MODES)
+        require_choice("lambda policy", self.lambda_policy, LAMBDA_POLICIES)
+        require_choice("reconstruction target", self.reconstruct_target, RECON_TARGETS)
+        require_choice("recon_views", self.recon_views, RECON_VIEWS)
         # the logits are float32 and scaled by 1/tau, so tau and 1/tau must
-        # both be float32 values (compared as floats: the cast itself warns)
-        if not 1 / _FLOAT32_MAX <= self.tau <= _FLOAT32_MAX:
-            raise ConfigError(
-                f"temperature tau must be in [{1 / _FLOAT32_MAX:.8g}, "
-                f"{_FLOAT32_MAX:.8g}] (1/tau in the float32 range), got {self.tau}"
-            )
-        if self.lambda_policy not in LAMBDA_POLICIES:
-            raise ConfigError(
-                f"unknown lambda policy {self.lambda_policy!r}; use {LAMBDA_POLICIES}"
-            )
-        if self.reconstruct_target not in RECON_TARGETS:
-            raise ConfigError(
-                f"unknown reconstruction target {self.reconstruct_target!r}; "
-                f"use {RECON_TARGETS}"
-            )
-        if self.recon_views not in RECON_VIEWS:
-            raise ConfigError(
-                f"unknown recon_views {self.recon_views!r}; use {RECON_VIEWS}"
-            )
-        if self.lambda_c < 0 or self.lambda_r < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        # both be float32 values; a weight scales a float32 loss tensor
+        require_range("temperature tau", self.tau, 1 / FLOAT32_MAX)
         for key in ("lambda_c", "lambda_r"):
-            # a weight scales a float32 loss tensor, so it must be one
-            value = getattr(self, key)
-            if value > _FLOAT32_MAX:
-                raise ConfigError(
-                    f"{key} must be at most {_FLOAT32_MAX:.8g} (the float32 range), "
-                    f"got {value}"
-                )
+            require_range(key, getattr(self, key), 0.0)
         # the inactive branch of a single-objective mode carries no weight
         if self.mode == "contrastive_only":
             self.lambda_r = 0.0

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DatasetMeta
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, require_range
 from .losses import LossConfig
 from .patchmask import PatchConfig
 from .tensor import (
@@ -49,20 +49,15 @@ class ModelConfig:
     init_seed: int = 0
 
     def __post_init__(self):
-        if min(self.d_model, self.n_blocks, self.n_heads, self.mlp_ratio) < 1:
-            raise ConfigError("model dimensions must all be >= 1")
+        for key in ("d_model", "n_blocks", "n_heads", "mlp_ratio"):
+            require_range(key, getattr(self, key), 1, math.inf)
+        require_range("proj_dim", self.proj_dim, 2, math.inf)
+        require_range("init_seed", self.init_seed, 0, math.inf)
+        ratio = self.classifier_hidden_ratio
+        require_range("classifier_hidden_ratio", ratio, 0.0, 1.0, open_lo=True)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-        if self.init_seed < 0:
-            raise ConfigError(f"init_seed must be >= 0, got {self.init_seed}")
-        if self.proj_dim < 2:
-            raise ConfigError(f"proj_dim must be >= 2, got {self.proj_dim}")
-        if not 0.0 < self.classifier_hidden_ratio <= 1.0:
-            raise ConfigError(
-                "classifier_hidden_ratio must be in (0, 1], got "
-                f"{self.classifier_hidden_ratio}"
             )
 
 

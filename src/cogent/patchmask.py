@@ -11,11 +11,12 @@ Bernoulli) so every sample in a batch has the same visible count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_range
 
 
 @dataclass
@@ -24,12 +25,8 @@ class PatchConfig:
     theta: float = 0.75
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ConfigError(f"patch length must be >= 1, got {self.L}")
-        if not 0.0 <= self.theta < 1.0:
-            raise ConfigError(
-                f"masking ratio theta must be in [0, 1), got {self.theta}"
-            )
+        require_range("patch length L", self.L, 1, math.inf)
+        require_range("masking ratio theta", self.theta, 0.0, 1.0, open_hi=True)
 
     def n_patches(self, T: int) -> int:
         if self.L > T:

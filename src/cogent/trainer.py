@@ -41,6 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
+# perfbench times a run by replacing these module globals by name: adam_step,
+# make_batches, joint_loss, _sanity_loss (called with its 4 arguments),
+# save_checkpoint and cross_entropy. Keep those names and that signature, and
+# call each through its global name here, so a replacement takes effect.
 from .augment import make_views_batch
 from .checkpoint import ARCH_KEYS, Checkpoint, save_checkpoint
 from .config import RunSettings, TrainConfig, read_run_config, run_config
@@ -209,7 +213,6 @@ def _step(loss: Tensor, params: ModelParams, adam_state, adam_cfg) -> None:
 def _snapshot(
     params: ModelParams,
     settings: RunSettings,
-    lambdas: tuple[float, float],
     epoch: int,
     norm_mean: np.ndarray,
     norm_std: np.ndarray,
@@ -217,8 +220,6 @@ def _snapshot(
     return Checkpoint(
         config=run_config(settings, params.meta),
         params=params.state_arrays(),
-        lambda_c=lambdas[0],
-        lambda_r=lambdas[1],
         epoch=epoch,
         norm_mean=[float(x) for x in norm_mean],
         norm_std=[float(x) for x in norm_std],
@@ -237,7 +238,11 @@ _STACK_ROWS = 1 << 12
 class _SanitySet:
     """The sanity split as `_sanity_loss` scores it: its sample count and,
     per full batch, one `batch_patchify_mask` tuple per view, original
-    first. Its arrays are read-only. Its length is the number of samples."""
+    first. Its arrays are read-only. Its length is the number of samples.
+
+    No package code reads `n_samples` or the length, but perfbench calls
+    `len()` on `_sanity_loss`'s first argument to count the samples behind
+    `eval_samples_per_s`; a bare tuple of batches would count batches."""
 
     n_samples: int
     batches: tuple
@@ -367,15 +372,13 @@ def pretrain(
         selection = sanity_total if sanity_total is not None else entry["total"]
         if selection < best_sanity:
             best_sanity = selection
-            best_ckpt = _snapshot(params, settings, lambdas, epoch, norm_mean, norm_std)
+            best_ckpt = _snapshot(params, settings, epoch, norm_mean, norm_std)
     assert best_ckpt is not None
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         save_checkpoint(best_ckpt, out_dir / "best.ckpt")
-        last = _snapshot(
-            params, settings, lambdas, tc.epochs_pretrain - 1, norm_mean, norm_std
-        )
+        last = _snapshot(params, settings, tc.epochs_pretrain - 1, norm_mean, norm_std)
         save_checkpoint(last, out_dir / "last.ckpt")
         _write_loss_log(out_dir / "loss_log.csv", log)
     return best_ckpt, log
@@ -474,7 +477,6 @@ def finetune(
         for name in encoder:
             params.tensors[name].data = ckpt.params[name].astype(np.float32)
     adam_state, adam_cfg = _adam(params, tc, tc.lr_finetune)
-    lambdas = (0.0, 0.0)  # self-supervised weights are not part of this stage
     best: tuple[float, Checkpoint, MetricReport] | None = None
     for epoch in range(tc.epochs_finetune):
         for bi, (values, labels) in enumerate(
@@ -490,7 +492,7 @@ def finetune(
         if (epoch + 1) % tc.eval_every == 0 or epoch == tc.epochs_finetune - 1:
             report = _evaluate_params(params, ft_patch, val, tc.batch_size)
             if best is None or report.f1 > best[0]:
-                snap = _snapshot(params, settings, lambdas, epoch, norm_mean, norm_std)
+                snap = _snapshot(params, settings, epoch, norm_mean, norm_std)
                 best = (report.f1, snap, report)
     assert best is not None
     _, best_ckpt, best_report = best

@@ -168,3 +168,23 @@ def test_only_errors_defines_exception_classes():
             ):
                 defined.append(f"{name}: {node.name}")
     assert defined == []
+
+
+def _writes_float32_max(node) -> bool:
+    """`finfo(<float32>).max`, a 3.4028...e38 literal or a `_FLOAT32_MAX` name."""
+    if isinstance(node, ast.Attribute) and node.attr == "max":
+        source = ast.unparse(node.value)
+        return "finfo(" in source and "float32" in source
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return 3.4028e38 <= abs(node.value) <= 3.4029e38
+    return isinstance(node, ast.Name) and node.id == "_FLOAT32_MAX"
+
+
+def test_only_errors_writes_the_float32_maximum():
+    # every range check bounds by errors.FLOAT32_MAX, so there is one copy
+    writers = sorted(
+        name
+        for name, tree in module_trees().items()
+        if name != "errors.py" and any(_writes_float32_max(n) for n in ast.walk(tree))
+    )
+    assert writers == []

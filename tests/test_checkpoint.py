@@ -1,6 +1,8 @@
 import hashlib
 import json
+import os
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -38,8 +40,6 @@ def sample_checkpoint():
     return Checkpoint(
         config=config,
         params=params,
-        lambda_c=1.0,
-        lambda_r=0.0171875,
         epoch=12,
         norm_mean=[0.25],
         norm_std=[1.5],
@@ -59,7 +59,6 @@ class TestRoundTrip:
         ckpt = sample_checkpoint()
         save_checkpoint(ckpt, tmp_path / "c.ckpt")
         loaded = load_checkpoint(tmp_path / "c.ckpt")
-        assert loaded.lambda_r == ckpt.lambda_r
         assert loaded.epoch == 12
         assert loaded.norm_mean == [0.25]
         assert list(loaded.params) == list(ckpt.params)  # order preserved
@@ -74,8 +73,7 @@ class TestRoundTrip:
         (mlen,) = struct.unpack("<Q", raw[8:16])
         manifest = json.loads(raw[16 : 16 + mlen])
         assert sorted(manifest) == [
-            "config", "config_digest", "epoch", "lambda_c", "lambda_r",
-            "norm_mean", "norm_std", "params",
+            "config", "config_digest", "epoch", "norm_mean", "norm_std", "params",
         ]
         payload = sum(arr.size * 4 for arr in ckpt.params.values())
         assert len(raw) == 16 + mlen + payload
@@ -142,7 +140,7 @@ def _rewritten(tmp_path, edit):
     (mlen,) = struct.unpack("<Q", raw[8:16])
     manifest = json.loads(raw[16 : 16 + mlen])
     edit(manifest)
-    blob = json.dumps(manifest).encode()
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(MAGIC + struct.pack("<Q", len(blob)) + blob + raw[16 + mlen :])
     return path
 
@@ -207,6 +205,23 @@ class TestBadInput:
         with pytest.raises(ConfigError, match="invalid checkpoint manifest"):
             load_checkpoint(path)
 
+    def test_payload_cut_while_read(self, tmp_path, monkeypatch):
+        # the file loses 4 payload bytes after its size was taken, so the
+        # length check passes and the read comes up short
+        path, raw = _saved(tmp_path)
+        path.write_bytes(raw[:-4])
+        real_fstat, inode = os.fstat, path.stat().st_ino
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return SimpleNamespace(st_size=len(raw)) if st.st_ino == inode else st
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        with pytest.raises(
+            ConfigError, match=r"good\.ckpt: payload changed while it was read"
+        ):
+            load_checkpoint(path)
+
     def test_older_format_named(self, tmp_path):
         path, raw = _saved(tmp_path)
         path.write_bytes(b"COGENT01" + raw[8:])
@@ -233,8 +248,8 @@ class TestStoredDigest:
     """`load_checkpoint` checks the stored `config_digest` against the
     stored config."""
 
-    # sha256 of the file the sample checkpoint is saved as, unchanged since
-    # the format stored the digest without reading it
+    # sha256 of the file the sample checkpoint was saved as when the format
+    # stored the digest without reading it, and still stored the loss weights
     SAMPLE_FILE_SHA256 = (
         "24341c60ae8f33e61a10c86e13d18c597080f4311b43726282fc45e284f4aac3"
     )
@@ -257,7 +272,14 @@ class TestStoredDigest:
         assert load_checkpoint(path).config["seed"] == 99
 
     def test_earlier_files_still_load(self, tmp_path):
-        # the bytes are those the format wrote before the digest had a reader
-        path, raw = _saved(tmp_path)
-        assert hashlib.sha256(raw).hexdigest() == self.SAMPLE_FILE_SHA256
-        assert load_checkpoint(path).config == sample_checkpoint().config
+        # the bytes are those the format wrote before the digest had a reader,
+        # with the loss weights that manifests no longer store; loading
+        # ignores the weights, and saving again writes today's bytes
+        path = _rewritten(
+            tmp_path, lambda m: m.update(lambda_c=1.0, lambda_r=0.0171875)
+        )
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAMPLE_FILE_SHA256
+        loaded = load_checkpoint(path)
+        assert loaded.config == sample_checkpoint().config
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == _saved(tmp_path)[1]

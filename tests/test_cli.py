@@ -1,6 +1,8 @@
 import json
+import os
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -259,6 +261,10 @@ class TestPretrainCommand:
             (["--train.lr_pretrain", "1e-320"], "lr_pretrain"),
             (["--train.lr_finetune", "1e-320"], "lr_finetune"),
             (["--train.adam_eps", "1e-320"], "adam_eps"),
+            # beyond the float32 range below 0: refused without a cast warning
+            (["--train.lr_pretrain", "-1e308"], "lr_pretrain"),
+            (["--train.lr_finetune", "-1e308"], "lr_finetune"),
+            (["--train.adam_eps", "-1e308"], "adam_eps"),
         ],
     )
     def test_value_outside_the_model_range_exits_1(
@@ -593,6 +599,24 @@ class TestFinetuneEvaluateExport:
         rc = main(["evaluate", "--from", str(bad), "--data", str(corpus_dir)])
         assert rc == 1
         assert f"{bad}: payload is" in capsys.readouterr().err
+
+    def test_checkpoint_cut_while_read_exits_1(
+        self, corpus_dir, finetune_dir, tmp_path, capsys, monkeypatch
+    ):
+        # 4 payload bytes go after the loader took the file's size
+        raw = (finetune_dir / "finetuned.ckpt").read_bytes()
+        bad = tmp_path / "shrunk.ckpt"
+        bad.write_bytes(raw[:-4])
+        real_fstat, inode = os.fstat, bad.stat().st_ino
+
+        def fstat(fd):
+            st = real_fstat(fd)
+            return SimpleNamespace(st_size=len(raw)) if st.st_ino == inode else st
+
+        monkeypatch.setattr(os, "fstat", fstat)
+        rc = main(["evaluate", "--from", str(bad), "--data", str(corpus_dir)])
+        assert rc == 1
+        assert f"{bad}: payload changed while it was read" in capsys.readouterr().err
 
     def test_corpus_shape_mismatch_exits_1(self, finetune_dir, tmp_path, capsys):
         other = tmp_path / "othercorpus"

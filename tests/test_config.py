@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
+from cogent import errors
 from cogent.augment import AugmentConfig
 from cogent.config import (
     SCHEMA,
@@ -14,7 +18,7 @@ from cogent.config import (
     run_config,
     settings_from_config,
 )
-from cogent.data import DatasetMeta, SplitPlan
+from cogent.data import DatasetMeta, SplitPlan, gen_synthetic
 from cogent.errors import ConfigError
 from cogent.losses import LossConfig
 from cogent.model import ModelConfig
@@ -280,3 +284,129 @@ class TestRunConfig:
         assert changed == {"model.init_seed", "loss.lambda_c"}
         assert config["model.init_seed"] == cfg["seed"] == 0
         assert config["loss.lambda_c"] == 0.0
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _around(bound: float) -> list[float]:
+    below, above = np.nextafter(bound, -np.inf), np.nextafter(bound, np.inf)
+    return [float(below), bound, float(above)]
+
+
+# Every float setting is probed at each bound that any of them has, with its
+# neighbours, then at the edges of the float range; 2**-150 is the largest
+# float that rounds to 0 in float32. Every int setting is probed at the int
+# bounds 0, 1 and 2 with their neighbours, and far out on both sides.
+BOUNDS = (0.0, 2.0**-150, 1 / F32_MAX, 1.0, F32_MAX)
+FLOAT_PROBES = [
+    *(v for bound in BOUNDS for v in _around(bound)),
+    -0.0, 1e39, -1e308, math.inf, -math.inf, math.nan,
+]
+INT_PROBES = [-(10**308), -1, 0, 1, 2, 3, 10**39]
+
+# (class, field) -> its verdict at each probe, the other fields at their
+# defaults (ModelConfig with n_heads 1, so only the n_heads row meets the
+# d_model % n_heads rule): "a" accepted, "r" refused with a ConfigError that
+# names the field. A float row groups its probes as
+#     0   2**-150   1/F32_MAX   1   F32_MAX   -0.0 1e39 -1e308 inf -inf nan
+# and an int row lists them as -10**308 -1 0 1 2 3 10**39.
+VERDICTS = {
+    (PatchConfig, "L"): "rrraaaa",
+    (PatchConfig, "theta"): "raa aaa aaa arr rrr arrrrr",
+    (AugmentConfig, "epsilon"): "raa aaa aaa aaa aar arrrrr",
+    (AugmentConfig, "mask_fraction"): "raa aaa aaa arr rrr arrrrr",
+    (ModelConfig, "d_model"): "rrraaaa",
+    (ModelConfig, "n_blocks"): "rrraaaa",
+    (ModelConfig, "n_heads"): "rrraarr",
+    (ModelConfig, "mlp_ratio"): "rrraaaa",
+    (ModelConfig, "proj_dim"): "rrrraaa",
+    (ModelConfig, "classifier_hidden_ratio"): "rra aaa aaa aar rrr rrrrrr",
+    (ModelConfig, "init_seed"): "rraaaaa",
+    (LossConfig, "tau"): "rrr rrr raa aaa aar rrrrrr",
+    (LossConfig, "lambda_c"): "raa aaa aaa aaa aar arrrrr",
+    (LossConfig, "lambda_r"): "raa aaa aaa aaa aar arrrrr",
+    (TrainConfig, "epochs_pretrain"): "rrraaaa",
+    (TrainConfig, "epochs_finetune"): "rrraaaa",
+    (TrainConfig, "batch_size"): "rrraaaa",
+    (TrainConfig, "lr_pretrain"): "rrr rra aaa aaa aar rrrrrr",
+    (TrainConfig, "lr_finetune"): "rrr rra aaa aaa aar rrrrrr",
+    (TrainConfig, "beta1"): "raa aaa aaa arr rrr arrrrr",
+    (TrainConfig, "beta2"): "raa aaa aaa arr rrr arrrrr",
+    (TrainConfig, "adam_eps"): "rrr rra aaa aaa aar rrrrrr",
+    (TrainConfig, "weight_decay"): "raa aaa aaa aaa aar arrrrr",
+    (TrainConfig, "seed"): "rraaaaa",
+    (TrainConfig, "eval_every"): "rrraaaa",
+    (SplitPlan, "pretrain_fraction"): "rra aaa aaa aar rrr rrrrrr",
+    (SplitPlan, "finetune_label_ratio"): "rra aaa aaa aar rrr rrrrrr",
+    (SplitPlan, "seed"): "aaaaaaa",
+    (DatasetMeta, "T"): "rrraaaa",
+    (DatasetMeta, "D"): "rrraaaa",
+    (DatasetMeta, "num_classes"): "rrrraaa",
+}
+BASE = {DatasetMeta: {"T": 96, "D": 1, "num_classes": 3}, ModelConfig: {"n_heads": 1}}
+
+
+def _kind(cls, name: str) -> str:
+    (field,) = (f for f in dataclasses.fields(cls) if f.name == name)
+    return getattr(field.type, "__name__", field.type)
+
+
+def _verdicts(make, name: str, probes) -> str:
+    """"a" or "r" per probe, with every warning an error."""
+    got = ""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for value in probes:
+            try:
+                make(value)
+                got += "a"
+            except ConfigError as e:
+                assert name in str(e), (value, str(e))
+                got += "r"
+    return got
+
+
+class TestVerdictTable:
+    """Each numeric setting's accept/refuse verdict at its bounds, their
+    neighbours and the edges of the float range. A NaN is refused, and no
+    value ends in a warning."""
+
+    def test_table_covers_every_numeric_field(self):
+        classes = (*STAGES.values(), DatasetMeta)
+        numeric = {
+            (cls, f.name)
+            for cls in classes
+            for f in dataclasses.fields(cls)
+            if _kind(cls, f.name) in ("int", "float")
+        }
+        assert set(VERDICTS) == numeric
+
+    @pytest.mark.parametrize(
+        "cls, name", VERDICTS, ids=[f"{c.__name__}.{n}" for c, n in VERDICTS]
+    )
+    def test_verdict_at_each_probe(self, cls, name):
+        probes = FLOAT_PROBES if _kind(cls, name) == "float" else INT_PROBES
+        base = BASE.get(cls, {})
+        got = _verdicts(lambda v: cls(**{**base, name: v}), name, probes)
+        assert got == VERDICTS[cls, name].replace(" ", "")
+
+    def test_gen_synthetic_sigma(self, tmp_path):
+        # a float32 value, and one whose noise stays finite
+        meta = DatasetMeta(T=2, D=1, num_classes=2)
+        got = _verdicts(
+            lambda v: gen_synthetic(tmp_path, meta, per_class=1, sigma=v),
+            "sigma",
+            FLOAT_PROBES,
+        )
+        assert got == "raa aaa aaa aaa rrr arrrrr".replace(" ", "")
+
+    def test_float32_max_is_numpys(self):
+        assert errors.FLOAT32_MAX == F32_MAX
+
+    def test_message_names_the_key_and_its_bounds(self):
+        with pytest.raises(ConfigError) as err:
+            TrainConfig(lr_pretrain=-1e308)
+        assert str(err.value) == (
+            "lr_pretrain must be in (7.0064923e-46, 3.4028235e+38], got -1e+308"
+        )
