@@ -18,9 +18,9 @@ from pathlib import Path
 
 from .augment import AugmentConfig
 from .data import DatasetMeta, SplitPlan
-from .errors import ConfigError, require_range
+from .errors import ConfigError, require_memory, require_range
 from .losses import LossConfig
-from .model import ModelConfig
+from .model import ModelConfig, param_count
 from .patchmask import PatchConfig
 
 
@@ -245,7 +245,33 @@ def settings_from_config(cfg: dict, meta: DatasetMeta) -> RunSettings:
         errors.append(f"patch.L {built['patch'].L} exceeds sequence length {meta.T}")
     if errors:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(errors))
-    return RunSettings(**built, keep_zeroed=cfg["mask.keep_zeroed"])
+    settings = RunSettings(**built, keep_zeroed=cfg["mask.keep_zeroed"])
+    _require_model_memory(settings, meta)
+    return settings
+
+
+# a training stage holds each float32 parameter's value, its gradient and
+# Adam's two moments
+_TRAINING_BYTES_PER_PARAM = 4 * 4
+
+
+def _require_model_memory(settings: RunSettings, meta: DatasetMeta) -> None:
+    """Refuse a model whose training state exceeds the machine's memory,
+    before anything is drawn or written; the larger stage counts."""
+    model, patch = settings.model, settings.patch
+    proj_tokens = patch.n_patches(meta.T) if settings.keep_zeroed else None
+    try:
+        count = param_count(model, patch, meta, proj_tokens, settings.loss)
+    except ConfigError:  # no visible patch, which pretraining itself refuses
+        count = 0
+    count = max(count, param_count(model, patch, meta))
+    keys = ("d_model", "n_blocks", "mlp_ratio", "proj_dim", "classifier_hidden_ratio")
+    named = ", ".join(f"model.{k}={getattr(model, k)}" for k in keys)
+    require_memory(
+        f"training a model of {count} parameters ({named}, patch.L={patch.L} "
+        f"on T={meta.T}, D={meta.D})",
+        count * _TRAINING_BYTES_PER_PARAM,
+    )
 
 
 def run_config(settings: RunSettings, meta: DatasetMeta) -> dict:

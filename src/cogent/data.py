@@ -19,7 +19,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError, require_range
+from .errors import (
+    ConfigError,
+    ContractError,
+    ParseError,
+    require_memory,
+    require_range,
+)
 
 SPLIT_FILES = ("train.csv", "val.csv", "test.csv")
 
@@ -277,6 +283,13 @@ def gen_synthetic(
     require_range("per_class", per_class, 1, math.inf)
     # sigma scales float32 noise, so it must be a float32 value
     require_range("sigma", sigma, 0.0)
+    n_eval = max(1, round(per_class * 0.5))
+    rows = meta.num_classes * (per_class + 2 * n_eval)
+    require_memory(  # float32 values and int64 labels of the three splits
+        f"a corpus of per_class={per_class}, T={meta.T}, D={meta.D}, "
+        f"num_classes={meta.num_classes}",
+        rows * (4 * meta.T * meta.D + 8),
+    )
     rng = np.random.default_rng(seed)
     t = np.arange(meta.T, dtype=np.float64) / meta.T
 
@@ -297,7 +310,6 @@ def gen_synthetic(
                 values[i] += sigma * noise
         return Samples(values, labels)
 
-    n_eval = max(1, round(per_class * 0.5))
     try:
         with np.errstate(over="raise"):
             corpus = Corpus(

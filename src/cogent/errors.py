@@ -1,5 +1,6 @@
-"""Exception taxonomy shared across the toolkit, and the two checks that
-every setting's single-value rule goes through.
+"""Exception taxonomy shared across the toolkit, the two checks that
+every setting's single-value rule goes through, and the check that refuses
+a size before it is allocated.
 
 ConfigError and ParseError are user-facing (CLI exit code 1), as is a training
 step that accepted settings take out of the float range; ContractError
@@ -13,9 +14,14 @@ scales float32 arrays keeps the default upper bound, FLOAT32_MAX, and a
 setting that must stay positive in float32 takes the open lower bound
 2**-150: a positive float rounds to 0 in float32 exactly when it is at most
 that. No check casts to float32, which would warn on overflow.
+
+`require_memory` refuses an estimate of what a run would allocate when it
+exceeds the machine's physical memory, before anything is allocated or
+written, where numpy would otherwise end in a MemoryError traceback.
 """
 
 import math
+import os
 
 # the largest float32 value, exactly
 FLOAT32_MAX = (2 - 2**-23) * 2.0**127
@@ -54,3 +60,18 @@ def require_choice(name, value, choices):
     """Raise ConfigError unless `value` is one of `choices`."""
     if value not in choices:
         raise ConfigError(f"unknown {name} {value!r}; use {choices}")
+
+
+def require_memory(what: str, nbytes: int) -> None:
+    """Raise ConfigError when `nbytes`, an estimate of what `what` needs,
+    exceeds this machine's physical memory. Where that cannot be read the
+    allocation itself decides."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):  # not on every platform
+        return
+    if 0 < total < nbytes:
+        raise ConfigError(
+            f"{what} needs about {nbytes:.3g} bytes, more than this machine's "
+            f"{total:.3g} bytes of memory"
+        )

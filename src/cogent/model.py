@@ -238,6 +238,35 @@ def init_params(
     return build_params(tensors, cfg, patch_cfg, meta, dtype)
 
 
+def param_count(
+    cfg: ModelConfig,
+    patch_cfg: PatchConfig,
+    meta: DatasetMeta,
+    proj_tokens: int | None = None,
+    loss: LossConfig | None = None,
+) -> int:
+    """How many values `init_params` stores for the same arguments, worked
+    out from the shapes alone, so a size can be refused before any draw."""
+    n_patches = patch_cfg.n_patches(meta.T)
+    in_dim = patch_cfg.L * meta.D
+    dm, wide = cfg.d_model, cfg.mlp_ratio * cfg.d_model
+    # two norms, q/k/v/o (no key bias), fc1 and fc2
+    block = 4 * dm + (4 * dm + 3) * dm + (2 * dm + 1) * wide + dm
+    count = (in_dim + 2) * dm + cfg.n_blocks * block  # patch_proj, cls, encoder
+    if loss is None:
+        hidden, classes = classifier_hidden_width(cfg, n_patches), meta.num_classes
+        return count + (n_patches * dm + 1 + classes) * hidden + classes
+    if loss.needs_reconstruction:
+        count += cfg.n_blocks * block + (dm + 1) * in_dim
+        if loss.reconstruct_target == "masked":
+            count += dm
+    if loss.needs_contrastive:
+        if proj_tokens is None:
+            proj_tokens = patch_cfg.n_visible(meta.T)
+        count += (proj_tokens * dm + 1) * dm + (dm + 1) * cfg.proj_dim
+    return count
+
+
 def build_params(
     tensors: dict[str, Tensor],
     cfg: ModelConfig,

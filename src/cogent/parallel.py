@@ -9,6 +9,12 @@ the call is never slower than the serial loop by more than the ~30 us of
 handing work over and joining it. Callers hand over only calls whose share
 carries much more work than that.
 
+It does three kinds of work: blocks of `tensor.gelu` and of Adam's sweep
+and finite check (`optim`), a 2-D product's two gradient GEMMs, and the two
+fixed halves of a large forward GEMM (`tensor._gemm`). Each caller cuts its
+blocks from the shape of the work alone, never from the number of workers,
+so the bits follow from that cut: the same blocks run, in or out of the pool.
+
 Blocks must be independent: each writes its own part of the outputs with
 the same numpy calls, whichever thread runs it, so every result bit is that
 of the serial loop, on any number of cores. The rules that keep it so:

@@ -20,15 +20,27 @@ rounded to the storage dtype, so in float32 it is bit-identical to scipy's
 erf. The forward and backward passes run in blocks that keep their scratch
 in cache.
 
-Two kinds of work also run on `parallel`'s worker threads, beside the
-caller, when the machine has a spare core: gelu's blocks, for calls
-of at least `_POOL_GELU` elements, and a 2-D product's two gradient GEMMs,
-side by side, from `_POOL_MACS` multiply-adds each, but only while numpy's
-bundled OpenBLAS runs a GEMM on one thread (where its thread count cannot be
-read, no GEMM is handed over). A block or GEMM makes the same numpy calls on
-whichever thread runs it, so no bit depends on the core count or on which
-thread ran what; nor on BLAS's thread count, which `tests/test_parallel.py`
-checks at one and two threads.
+Three kinds of work also run on `parallel`'s worker threads, beside the
+caller, when the machine has a spare core: gelu's blocks, for calls of at
+least `_POOL_GELU` elements; a 2-D product's two gradient GEMMs, side by
+side, from `_POOL_MACS` multiply-adds each; and the two halves of a large
+forward GEMM. From `_SPLIT_MACS` multiply-adds, a product with a 2-D right
+operand is two GEMMs, each writing one fixed half of the output: half the
+rows when there are at least `_SPLIT_ROWS`, else half the columns. The
+split follows from the shape alone, spare core or not, so its bits do too;
+on the OpenBLAS kernel the pinned digests were recorded on, each half has
+the bits of the whole product (`tests/test_parallel.py` checks the paper
+shapes). GEMMs run side by side only while numpy's bundled OpenBLAS runs a
+GEMM on one thread (where its thread count cannot be read, none is handed
+over). A block, half or GEMM makes the same numpy calls on whichever thread
+runs it, so no bit depends on the core count or on which thread ran what.
+
+Bits can depend on BLAS's own thread count: OpenBLAS divides a large GEMM
+among its threads, and a float32 (300, 700) @ (700, 900) product gave other
+bits at two threads than at one. The pinned digests are checked at one and
+two BLAS threads, but their products are too small for OpenBLAS to thread.
+The test suite and perfbench pin BLAS to one thread; the CLI keeps BLAS's
+default thread count.
 
 `layer_norm` and `softmax` are each a single graph node, kept because they
 are measurably faster than their graphs. Their forward pass and backward
@@ -435,8 +447,9 @@ def matmul(a, b) -> Tensor:
 
     With a 2-D right operand (affine layers, feature-axis similarities), the
     left operand's leading dimensions fold into rows: the product and both
-    gradients are then one 2-D GEMM each, `(rows, K) @ (K, N)`, `g @ b.T`
-    and `a.T @ g`, run in the storage dtype (float32 in training, float64
+    gradients are then 2-D GEMMs, `(rows, K) @ (K, N)` (two halves of it
+    from `_SPLIT_MACS` multiply-adds), `g @ b.T` and `a.T @ g`, run in the
+    storage dtype (float32 in training, float64
     under the gradient criterion). Otherwise leading dimensions broadcast as
     in `np.matmul` (attention's `q @ k^T` and `attn @ v`, the decoder's
     scatter), and the product and gradients accumulate in float64: these sum
@@ -456,7 +469,7 @@ def matmul(a, b) -> Tensor:
         n = b.shape[1]
         rows = math.prod(a.shape[:-1])
         a2 = a.data.reshape(rows, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + (n,))
+        data = _gemm(a2, b.data).reshape(a.shape[:-1] + (n,))
 
         def backward(g):
             g2 = g.reshape(rows, n)
@@ -504,9 +517,39 @@ def matmul(a, b) -> Tensor:
 # second one made both slower.
 _POOL_MACS = 1 << 26
 
+# Unlike the pool thresholds, the split floor is part of the numerics: a
+# half of a tiny product can take another OpenBLAS path (small-matrix
+# kernels, gemv) and give other bits than the whole product.
+_SPLIT_MACS = 1 << 26
+_SPLIT_ROWS = 256
+
 
 def _pools_gemm(macs: int) -> bool:
     return macs >= _POOL_MACS and parallel.blas_threads() == 1
+
+
+def _gemm(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """a2 @ b2 for 2-D operands: from `_SPLIT_MACS` multiply-adds, two GEMMs
+    into fixed halves of the rows (from `_SPLIT_ROWS` rows) or of the
+    columns of one output, side by side where `_pools_gemm` allows."""
+    (rows, k), n = a2.shape, b2.shape[1]
+    macs = rows * k * n
+    if macs < _SPLIT_MACS:
+        return a2 @ b2
+    out = np.empty((rows, n), np.result_type(a2.dtype, b2.dtype))
+    if rows >= _SPLIT_ROWS:
+        h = rows // 2
+        halves = ((np.s_[:h], np.s_[:]), (np.s_[h:], np.s_[:]))
+    else:
+        h = n // 2
+        halves = ((np.s_[:], np.s_[:h]), (np.s_[:], np.s_[h:]))
+
+    def half(i):
+        r, c = halves[i]
+        np.matmul(a2[r], b2[:, c], out=out[r, c])
+
+    parallel.each(half, 2, pool=_pools_gemm(macs))
+    return out
 
 
 def _as64(x: np.ndarray) -> np.ndarray:

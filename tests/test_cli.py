@@ -84,6 +84,20 @@ class TestGenSynthetic:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("flag", ["--per-class", "--T"])
+    def test_corpus_larger_than_memory_exits_1_before_writing(
+        self, flag, tmp_path, capsys
+    ):
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(["gen-synthetic", "--out", str(out), flag, "1000000000000"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{flag[2:].replace('-', '_')}=1000000000000" in err, err
+        assert "bytes" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 # a micro model for a T=32 corpus: L=8 gives N=4 patches
 MICRO = [
@@ -282,6 +296,27 @@ class TestPretrainCommand:
         assert err.startswith("error: invalid configuration") and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "best.ckpt").exists()
+
+    @pytest.mark.parametrize(
+        "key", ["model.d_model", "model.mlp_ratio", "model.proj_dim", "model.n_blocks"]
+    )
+    def test_model_larger_than_memory_exits_1_before_writing(
+        self, micro_dir, tmp_path, capsys, key
+    ):
+        # refused from the parameter count, before a draw or a run directory
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main(
+                ["pretrain", "--data", str(micro_dir), "--out", str(out)]
+                + MICRO
+                + [f"--{key}", "3000000000"]
+            )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training a model of ") and "bytes" in err
+        assert f"{key}=3000000000" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "key, value",

@@ -21,7 +21,7 @@ from cogent.config import (
 from cogent.data import DatasetMeta, SplitPlan, gen_synthetic
 from cogent.errors import ConfigError
 from cogent.losses import LossConfig
-from cogent.model import ModelConfig
+from cogent.model import ModelConfig, init_params
 from cogent.patchmask import PatchConfig
 
 STAGES = {
@@ -187,6 +187,43 @@ class TestSettingsFromConfig:
             settings_from_config(cfg, self.meta())
         msg = str(err.value)
         assert "masking ratio" in msg and "temperature" in msg
+
+
+class TestRequireMemory:
+    PAGES, PAGE = 1000, 4096
+
+    def sysconf(self, name):
+        return {"SC_PHYS_PAGES": self.PAGES, "SC_PAGE_SIZE": self.PAGE}[name]
+
+    def test_refuses_only_above_physical_memory(self, monkeypatch):
+        monkeypatch.setattr(errors.os, "sysconf", self.sysconf)
+        errors.require_memory("a thing", self.PAGES * self.PAGE)
+        with pytest.raises(ConfigError, match=r"^a thing needs about 4.1e\+06 bytes"):
+            errors.require_memory("a thing", self.PAGES * self.PAGE + 1)
+
+    def test_unreadable_memory_refuses_nothing(self, monkeypatch):
+        def unreadable(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(errors.os, "sysconf", unreadable)
+        errors.require_memory("a thing", 10**30)
+
+    def test_settings_count_the_larger_stage(self, monkeypatch):
+        # a micro model needs a few hundred KB of training state; the
+        # fine-tuning classifier is its larger stage here
+        meta = DatasetMeta(T=96, D=1, num_classes=3, name="m")
+        overrides = {"patch.L": "16", "model.d_model": "32", "model.n_heads": "4",
+                     "model.proj_dim": "4", "loss.mode": "contrastive_only"}
+        cfg = resolve_config(None, overrides, env={})
+        settings = settings_from_config(cfg, meta)
+        pre = init_params(settings.model, settings.patch, meta, loss=settings.loss)
+        tuned = init_params(settings.model, settings.patch, meta).total_params()
+        assert tuned > pre.total_params()
+        monkeypatch.setattr(errors.os, "sysconf", self.sysconf)
+        monkeypatch.setattr(self, "PAGES", 16 * tuned // self.PAGE)
+        message = f"training a model of {tuned} parameters"
+        with pytest.raises(ConfigError, match=message):
+            settings_from_config(cfg, meta)
 
 
 class TestRunConfig:

@@ -145,8 +145,23 @@ class TestInitParams:
         for loss, expect in counts:
             params = init_params(model_cfg, patch_cfg, meta, loss=loss)
             assert params.total_params() == expect, loss
+            assert model.param_count(model_cfg, patch_cfg, meta, loss=loss) == expect
             if loss is None:
                 assert params["clf.fc1.w"].shape[1] == 1024
+
+    @pytest.mark.parametrize("proj_tokens", [None, 4])
+    @pytest.mark.parametrize("loss", LAYOUTS)
+    def test_param_count_counts_what_init_params_stores(self, loss, proj_tokens):
+        meta = DatasetMeta(T=40, D=2, num_classes=3, name="count")
+        patch_cfg = PatchConfig(L=8, theta=0.5)
+        model_cfg = ModelConfig(
+            d_model=8, n_blocks=3, n_heads=2, mlp_ratio=3, proj_dim=5
+        )
+        params = init_params(
+            model_cfg, patch_cfg, meta, proj_tokens=proj_tokens, loss=loss
+        )
+        count = model.param_count(model_cfg, patch_cfg, meta, proj_tokens, loss)
+        assert count == params.total_params()
 
     def test_classifier_hidden_width_reference_shape(self):
         assert classifier_hidden_width(ModelConfig(), 20) == 1024

@@ -3,7 +3,11 @@
 Paper-scale calls hand blocks to the pool; tiny runs are forced onto it by
 lowering the private size thresholds, and kept off it by leaving no spare
 core. Bits must not depend on which: `test_pinned.py`'s digests hold with
-the pool forced on, and at one and at two BLAS threads.
+the pool forced on, and at one and at two BLAS threads. Those runs'
+products are too small for OpenBLAS to thread; a large GEMM can give other
+bits at two BLAS threads, and nothing here claims otherwise. The
+forward-GEMM split floor is not lowered, since it decides the bits: split
+products are checked at their own sizes.
 """
 
 import os
@@ -20,13 +24,14 @@ from cogent import optim, parallel, tensor, trainer
 from cogent.cli import main
 from cogent.config import resolve_config, settings_from_config
 from cogent.data import DatasetMeta, gen_synthetic
-from cogent.tensor import Tensor, matmul, tsum
+from cogent.tensor import Tensor, matmul, no_grad, tsum
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # every threshold at its floor and blocks of 64 elements: each gelu and
 # Adam pass of a tiny run spans several blocks, and every 2-D product
-# hands its weight gradient to the pool
+# hands its weight gradient to the pool. `tensor._SPLIT_MACS` stays: halves
+# of tiny products take OpenBLAS's small-matrix and gemv paths, other bits.
 FORCED = {
     (tensor, "_GELU_BLOCK"): 64,
     (tensor, "_POOL_GELU"): 1,
@@ -42,6 +47,12 @@ def force_pool(monkeypatch, on: bool = True) -> list:
     core and count the tasks handed to it, else leave it none."""
     for (module, name), value in FORCED.items():
         monkeypatch.setattr(module, name, value)
+    return count_forks(monkeypatch, on)
+
+
+def count_forks(monkeypatch, on: bool = True) -> list:
+    """One BLAS thread; with `on`, a pool worker even on one core, else
+    none; returns the list of tasks handed to the pool."""
     monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
     monkeypatch.setattr(parallel, "_spare", max(parallel._spare, 1) if on else 0)
     forks = []
@@ -235,6 +246,88 @@ def test_a_quickstart_size_run_starts_no_worker(monkeypatch, tmp_path):
     tuned, _ = trainer.finetune(pre, corpus, settings)
     trainer.evaluate(tuned, corpus.test)
     assert started == [] and parallel._tasks is None
+
+
+def test_a_quickstart_size_step_and_sanity_pass_fork_nothing(monkeypatch, tmp_path):
+    # a spare core and one BLAS thread, so only the size floors keep work off
+    # the pool. One step of B=16 and a sanity split of 705 samples, whose
+    # first stack holds 18 batches, the most `_STACK_ROWS` lets this model
+    # stack, so its products are the largest any pass of this model runs
+    # (1,728 x 64 x 256 multiply-adds). None is split either, so the
+    # quickstart keeps the bits of one whole GEMM
+    forks = count_forks(monkeypatch)
+    macs = []
+    gemm = tensor._gemm
+    monkeypatch.setattr(
+        tensor, "_gemm", lambda a2, b2: macs.append(a2.size * b2.shape[1]) or gemm(a2, b2)
+    )
+    meta = DatasetMeta(T=96, D=1, num_classes=3, name="quick")
+    corpus = gen_synthetic(tmp_path, meta, per_class=250, seed=1, sigma=0.1)
+    overrides = {
+        "patch.L": "16", "model.d_model": "64", "model.n_heads": "4",
+        "model.proj_dim": "32", "train.batch_size": "16",
+        "train.epochs_pretrain": "1", "split.pretrain_fraction": "0.06",
+    }
+    settings = settings_from_config(resolve_config(None, overrides, env={}), meta)
+    calls = []
+    sanity = trainer._sanity_loss
+    monkeypatch.setattr(
+        trainer, "_sanity_loss", lambda s, *a: calls.append(len(s)) or sanity(s, *a)
+    )
+    trainer.pretrain(corpus, settings)
+    assert calls == [705]
+    assert forks == []
+    assert max(macs) == 1728 * 64 * 256 < tensor._SPLIT_MACS
+
+
+# above the split floor: one product split by rows, one by columns
+@pytest.mark.parametrize("rows, k, n", [(300, 512, 512), (24, 4096, 1024)])
+def test_a_split_product_has_the_same_bits_on_and_off_the_pool(monkeypatch, rows, k, n):
+    assert rows * k * n >= tensor._SPLIT_MACS
+    rng = np.random.default_rng(rows)
+    x = rng.standard_normal((rows, k), dtype=np.float32)
+    w = rng.standard_normal((k, n), dtype=np.float32)
+    out = []
+    for on in (True, False):
+        with pytest.MonkeyPatch.context() as mp:
+            forks = force_pool(mp, on)
+            with no_grad():
+                out.append(matmul(Tensor(x), Tensor(w)).data.tobytes())
+        assert len(forks) == on
+    assert out[0] == out[1]
+
+
+WORKLOAD_GEMMS = [
+    (rows, k, n)
+    for rows in (1344, 336, 294)
+    for k, n in ((512, 512), (512, 2048), (2048, 512))
+] + [(rows, 10240, 1024) for rows in (64, 16, 14)]
+
+
+@pytest.mark.parametrize("rows, k, n", WORKLOAD_GEMMS)
+def test_split_halves_equal_the_whole_gemm_on_this_kernel(monkeypatch, rows, k, n):
+    """The forward GEMMs of the paper-scale benchmark runs (attention and
+    MLP layers at batches of 64, 16 and 14, and the classifier's first
+    layer), split into halves, give the bits of one whole `a2 @ w`, so the
+    split moved no digest.
+
+    Checked with numpy 2.4.6 on its bundled OpenBLAS 0.3.31 (DYNAMIC_ARCH),
+    SkylakeX kernel, on an x86_64 Xeon with AVX-512; it also held under
+    `OPENBLAS_CORETYPE=Sandybridge`. OpenBLAS picks its kernels for the CPU
+    it runs on, and under `OPENBLAS_CORETYPE=Haswell` most of these shapes
+    gave other bits split than whole. A failure on another host means the
+    split gives that host other digests than the whole product would, not by
+    itself a regression: the split's bits still depend only on the shape.
+    """
+    assert rows * k * n >= tensor._SPLIT_MACS
+    forks = count_forks(monkeypatch)
+    rng = np.random.default_rng(rows + k + n)
+    a2 = rng.standard_normal((rows, k), dtype=np.float32)
+    w = rng.standard_normal((k, n), dtype=np.float32) * np.float32(0.02)
+    with no_grad():
+        split = matmul(Tensor(a2), Tensor(w)).data
+    assert len(forks) == 1
+    assert split.tobytes() == (a2 @ w).tobytes()
 
 
 @pytest.mark.parametrize("threads, forks", [(1, 1), (2, 0), (None, 0)])
