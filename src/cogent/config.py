@@ -43,8 +43,11 @@ class TrainConfig:
             require_range(key, getattr(self, key), 1, math.inf)
         # these scale float32 arrays, so each is bounded by FLOAT32_MAX; above
         # 2**-150 a rate or adam_eps also stays positive in float32
-        for key in ("lr_pretrain", "lr_finetune", "adam_eps"):
+        for key in ("lr_pretrain", "lr_finetune"):
             require_range(key, getattr(self, key), 2.0**-150, open_lo=True)
+        # above 1, eps outweighs sqrt(v_hat) for every gradient below 1: at
+        # 3e38 every update rounded to 0 and a run saved its initialization
+        require_range("adam_eps", self.adam_eps, 2.0**-150, 1.0, open_lo=True)
         require_range("weight_decay", self.weight_decay, 0.0)
         for key in ("beta1", "beta2"):
             require_range(key, getattr(self, key), 0.0, 1.0, open_hi=True)
@@ -264,7 +267,10 @@ def _require_model_memory(settings: RunSettings, meta: DatasetMeta) -> None:
         count = param_count(model, patch, meta, proj_tokens, settings.loss)
     except ConfigError:  # no visible patch, which pretraining itself refuses
         count = 0
-    count = max(count, param_count(model, patch, meta))
+    try:
+        count = max(count, param_count(model, patch, meta))
+    except OverflowError:  # a classifier width beyond the float range
+        count = math.inf
     keys = ("d_model", "n_blocks", "mlp_ratio", "proj_dim", "classifier_hidden_ratio")
     named = ", ".join(f"model.{k}={getattr(model, k)}" for k in keys)
     require_memory(

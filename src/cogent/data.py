@@ -283,7 +283,8 @@ def gen_synthetic(
     require_range("per_class", per_class, 1, math.inf)
     # sigma scales float32 noise, so it must be a float32 value
     require_range("sigma", sigma, 0.0)
-    n_eval = max(1, round(per_class * 0.5))
+    # round(per_class / 2), half to even, in ints: no float overflows
+    n_eval = max(1, per_class // 2 + (per_class % 4 == 3))
     rows = meta.num_classes * (per_class + 2 * n_eval)
     require_memory(  # float32 values and int64 labels of the three splits
         f"a corpus of per_class={per_class}, T={meta.T}, D={meta.D}, "

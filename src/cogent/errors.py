@@ -22,6 +22,7 @@ written, where numpy would otherwise end in a MemoryError traceback.
 
 import math
 import os
+import sys
 
 # the largest float32 value, exactly
 FLOAT32_MAX = (2 - 2**-23) * 2.0**127
@@ -71,7 +72,9 @@ def require_memory(what: str, nbytes: int) -> None:
     except (AttributeError, ValueError, OSError):  # not on every platform
         return
     if 0 < total < nbytes:
+        # an int beyond the float range has no %g form
+        about = f"{nbytes:.3g}" if nbytes <= sys.float_info.max else "over 1.8e+308"
         raise ConfigError(
-            f"{what} needs about {nbytes:.3g} bytes, more than this machine's "
+            f"{what} needs about {about} bytes, more than this machine's "
             f"{total:.3g} bytes of memory"
         )

@@ -34,17 +34,20 @@ of the serial loop, on any number of cores. The rules that keep it so:
   every block it runs (`per_thread`), so a block allocates nothing, and the
   caller allocates what the serial loop would.
 
-`blas_threads` reads the thread count of numpy's bundled OpenBLAS, for a
-caller that must not run two GEMMs at once while BLAS already uses several
-threads. Importing this module loads nothing numpy has not loaded; the pool
-imports `queue` when it starts.
+Importing this module sets numpy's bundled OpenBLAS to one thread through
+`ctypes`, whatever `OPENBLAS_NUM_THREADS` says: OpenBLAS divides a large
+GEMM among its threads, and a float32 (300, 700) @ (700, 900) product gave
+other bits at two threads than at one. So no bit depends on the thread
+count either. `blas_pinned` is False where numpy bundles no OpenBLAS with
+that setter; callers then run no two GEMMs side by side, and the bits
+follow that library's threads. The pin loads nothing numpy has not loaded;
+the pool imports `queue` when it starts.
 """
 
 from __future__ import annotations
 
 import contextvars
 import ctypes
-import functools
 import itertools
 import os
 import threading
@@ -52,7 +55,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["each", "per_thread", "blas_threads"]
+__all__ = ["each", "per_thread", "blas_pinned"]
 
 
 def _usable_cores() -> int:
@@ -170,38 +173,38 @@ def per_thread(make: Callable[[], object]) -> Callable[[], object]:
     return get
 
 
-@functools.cache
-def _blas_reader():
-    """The thread-count getter of the OpenBLAS that numpy's wheel bundles,
-    or None."""
+def _blas_function(name: str):
+    """The function `name` (such as "set_num_threads") of the OpenBLAS that
+    numpy's wheel bundles, or None."""
     package = os.path.dirname(np.__file__)
     for folder in (package + ".libs", os.path.join(package, ".dylibs")):
         try:
-            names = sorted(os.listdir(folder))
+            files = sorted(os.listdir(folder))
         except OSError:
             continue
-        for name in names:
-            if "openblas" not in name:
+        for file in files:
+            if "openblas" not in file:
                 continue
             try:
-                lib = ctypes.CDLL(os.path.join(folder, name))
+                lib = ctypes.CDLL(os.path.join(folder, file))
             except OSError:
                 continue
-            for symbol in (
-                "scipy_openblas_get_num_threads64_",
-                "scipy_openblas_get_num_threads",
-                "openblas_get_num_threads64_",
-                "openblas_get_num_threads",
-            ):
-                getter = getattr(lib, symbol, None)
-                if getter is not None:
-                    getter.restype, getter.argtypes = ctypes.c_int, []
-                    return getter
+            for prefix in ("scipy_openblas_", "openblas_"):
+                for suffix in ("64_", ""):
+                    fn = getattr(lib, prefix + name + suffix, None)
+                    if fn is not None:
+                        return fn
     return None
 
 
-def blas_threads() -> int | None:
-    """Threads numpy's bundled OpenBLAS runs a GEMM on, or None where that
-    cannot be read (another BLAS, or no bundled library)."""
-    reader = _blas_reader()
-    return None if reader is None else int(reader())
+def _pin_blas() -> bool:
+    setter = _blas_function("set_num_threads")
+    if setter is None:
+        return False
+    setter.restype, setter.argtypes = None, [ctypes.c_int]
+    setter(1)
+    return True
+
+
+# True once numpy's bundled OpenBLAS runs every GEMM on one thread
+blas_pinned = _pin_blas()

@@ -30,17 +30,13 @@ rows when there are at least `_SPLIT_ROWS`, else half the columns. The
 split follows from the shape alone, spare core or not, so its bits do too;
 on the OpenBLAS kernel the pinned digests were recorded on, each half has
 the bits of the whole product (`tests/test_parallel.py` checks the paper
-shapes). GEMMs run side by side only while numpy's bundled OpenBLAS runs a
-GEMM on one thread (where its thread count cannot be read, none is handed
-over). A block, half or GEMM makes the same numpy calls on whichever thread
-runs it, so no bit depends on the core count or on which thread ran what.
-
-Bits can depend on BLAS's own thread count: OpenBLAS divides a large GEMM
-among its threads, and a float32 (300, 700) @ (700, 900) product gave other
-bits at two threads than at one. The pinned digests are checked at one and
-two BLAS threads, but their products are too small for OpenBLAS to thread.
-The test suite and perfbench pin BLAS to one thread; the CLI keeps BLAS's
-default thread count.
+shapes). A block, half or GEMM makes the same numpy calls on whichever
+thread runs it, so no bit depends on the core count or on which thread ran
+what. Nor on BLAS's own thread count: `parallel` sets numpy's bundled
+OpenBLAS to one thread when it is imported, so every GEMM runs on one
+thread, under any `OPENBLAS_NUM_THREADS`. Where that pin cannot be set (no
+bundled OpenBLAS), no GEMM is handed to the pool, and bits follow the
+library's own threads.
 
 `layer_norm` and `softmax` are each a single graph node, kept because they
 are measurably faster than their graphs. Their forward pass and backward
@@ -513,7 +509,7 @@ def matmul(a, b) -> Tensor:
 
 # A 2-D product's two gradient GEMMs run side by side from this many
 # multiply-adds each (~1.2 ms apiece on one AVX-512 Xeon core, at ~56 G/s),
-# and only while BLAS runs a GEMM on one thread: beside a two-thread GEMM, a
+# and only where BLAS is pinned to one thread: beside a two-thread GEMM, a
 # second one made both slower.
 _POOL_MACS = 1 << 26
 
@@ -525,7 +521,7 @@ _SPLIT_ROWS = 256
 
 
 def _pools_gemm(macs: int) -> bool:
-    return macs >= _POOL_MACS and parallel.blas_threads() == 1
+    return macs >= _POOL_MACS and parallel.blas_pinned
 
 
 def _gemm(a2: np.ndarray, b2: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""No public name exists only for tests, numpy is the only dependency, and
-every exception class belongs to the taxonomy in `errors.py`.
+"""No public name exists only for tests, numpy is the only dependency,
+every exception class belongs to the taxonomy in `errors.py`, and only
+`parallel.py` reaches into numpy's BLAS library.
 
 Every name that `cogent/__init__.py` re-exports, and every name in
 `tensor.__all__`, must be used by the package's own code outside
@@ -11,6 +12,7 @@ and property must be called by package code in a tiny pretraining run.
 import ast
 import builtins
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,3 +190,32 @@ def test_only_errors_writes_the_float32_maximum():
         if name != "errors.py" and any(_writes_float32_max(n) for n in ast.walk(tree))
     )
     assert writers == []
+
+
+# a symbol of the library, such as "scipy_openblas_set_num_threads64_", or the
+# library file's name; prose writes "OpenBLAS"
+OPENBLAS_SYMBOL = re.compile(r"_openblas|openblas_|^openblas$")
+
+
+def _reaches_blas(node) -> bool:
+    """An import of `ctypes`, or a name or string naming an OpenBLAS symbol."""
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "ctypes" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[0] == "ctypes"
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        text = node.value
+    else:
+        text = getattr(node, "id", getattr(node, "attr", None))
+    return isinstance(text, str) and OPENBLAS_SYMBOL.search(text) is not None
+
+
+def test_only_parallel_reaches_the_blas_library():
+    # parallel pins BLAS to one thread, and the GEMM paths read its flag; a
+    # second lookup would let another module decide threads on its own
+    reaching = sorted(
+        name
+        for name, tree in module_trees().items()
+        if any(_reaches_blas(n) for n in ast.walk(tree))
+    )
+    assert reaching == ["parallel.py"]

@@ -88,15 +88,17 @@ class TestGenSynthetic:
     def test_corpus_larger_than_memory_exits_1_before_writing(
         self, flag, tmp_path, capsys
     ):
-        out = tmp_path / "c"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            rc = main(["gen-synthetic", "--out", str(out), flag, "1000000000000"])
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert f"{flag[2:].replace('-', '_')}=1000000000000" in err, err
-        assert "bytes" in err and "Traceback" not in err
-        assert not out.exists()
+        # and far beyond the float range, where no size has a float form
+        for value in ("1000000000000", str(10**399)):
+            out = tmp_path / value[:8]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                rc = main(["gen-synthetic", "--out", str(out), flag, value])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert f"{flag[2:].replace('-', '_')}={value}" in err, err
+            assert "bytes" in err and "Traceback" not in err
+            assert not out.exists()
 
 
 # a micro model for a T=32 corpus: L=8 gives N=4 patches
@@ -106,6 +108,40 @@ MICRO = [
     "--train.epochs_pretrain", "2", "--train.epochs_finetune", "2",
     "--train.batch_size", "4",
 ]
+
+# every int and optional-int key of the schema at -1, 0, 1 and far beyond
+# int64; an epoch count legitimately runs as long as it says, so it gets the
+# small values only. The fine-tuning keys run `finetune`, the rest `pretrain`
+BIG = {2**63: "2**63", 10**399: "10**399"}
+INT_EDGE_CASES = [
+    (key, value)
+    for key, (kind, _) in SCHEMA.items()
+    if kind in ("int", "optional_int")
+    for value in (-1, 0, 1)
+    + (() if key.startswith("train.epochs_") else tuple(BIG))
+]
+FINETUNE_KEYS = ("train.epochs_finetune", "train.eval_every")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    INT_EDGE_CASES,
+    ids=[f"{key}={BIG.get(value, value)}" for key, value in INT_EDGE_CASES],
+)
+def test_int_key_at_its_edges_exits_0_or_1(micro_dir, tmp_path, capsys, key, value):
+    command = "finetune" if key in FINETUNE_KEYS else "pretrain"
+    flags = dict(zip(MICRO[::2], MICRO[1::2]))
+    flags.update({"--train.epochs_pretrain": "1", "--train.epochs_finetune": "1"})
+    flags[f"--{key}"] = str(value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc = main([command, "--data", str(micro_dir), "--out", str(tmp_path)]
+                  + [item for flag in flags.items() for item in flag])
+    err = capsys.readouterr().err
+    assert rc in (0, 1) and "Traceback" not in err
+    if rc == 1:
+        assert err.startswith("error: ") and key.split(".")[-1] in err, err
+
 
 # in-range settings whose products overflow a micro training step
 OVERFLOWING_STEPS = (
@@ -279,6 +315,8 @@ class TestPretrainCommand:
             (["--train.lr_pretrain", "-1e308"], "lr_pretrain"),
             (["--train.lr_finetune", "-1e308"], "lr_finetune"),
             (["--train.adam_eps", "-1e308"], "adam_eps"),
+            # so large that every Adam update rounds to 0
+            (["--train.adam_eps", "3e38"], "adam_eps"),
         ],
     )
     def test_value_outside_the_model_range_exits_1(

@@ -370,7 +370,7 @@ VERDICTS = {
     (TrainConfig, "lr_finetune"): "rrr rra aaa aaa aar rrrrrr",
     (TrainConfig, "beta1"): "raa aaa aaa arr rrr arrrrr",
     (TrainConfig, "beta2"): "raa aaa aaa arr rrr arrrrr",
-    (TrainConfig, "adam_eps"): "rrr rra aaa aaa aar rrrrrr",
+    (TrainConfig, "adam_eps"): "rrr rra aaa aar rrr rrrrrr",
     (TrainConfig, "weight_decay"): "raa aaa aaa aaa aar arrrrr",
     (TrainConfig, "seed"): "rraaaaa",
     (TrainConfig, "eval_every"): "rrraaaa",

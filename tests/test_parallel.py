@@ -3,11 +3,12 @@
 Paper-scale calls hand blocks to the pool; tiny runs are forced onto it by
 lowering the private size thresholds, and kept off it by leaving no spare
 core. Bits must not depend on which: `test_pinned.py`'s digests hold with
-the pool forced on, and at one and at two BLAS threads. Those runs'
-products are too small for OpenBLAS to thread; a large GEMM can give other
-bits at two BLAS threads, and nothing here claims otherwise. The
-forward-GEMM split floor is not lowered, since it decides the bits: split
-products are checked at their own sizes.
+the pool forced on. Nor on `OPENBLAS_NUM_THREADS`: importing cogent pins
+numpy's bundled OpenBLAS to one thread, so child processes started at one
+and at two BLAS threads read one thread and give the same bits, for the
+pinned digests and for a product and a run that OpenBLAS would thread.
+The forward-GEMM split floor is not lowered, since it decides the bits:
+split products are checked at their own sizes.
 """
 
 import os
@@ -51,9 +52,8 @@ def force_pool(monkeypatch, on: bool = True) -> list:
 
 
 def count_forks(monkeypatch, on: bool = True) -> list:
-    """One BLAS thread; with `on`, a pool worker even on one core, else
-    none; returns the list of tasks handed to the pool."""
-    monkeypatch.setattr(parallel, "blas_threads", lambda: 1)
+    """With `on`, a pool worker even on one core, else none; returns the
+    list of tasks handed to the pool."""
     monkeypatch.setattr(parallel, "_spare", max(parallel._spare, 1) if on else 0)
     forks = []
     fork = parallel._fork
@@ -330,10 +330,11 @@ def test_split_halves_equal_the_whole_gemm_on_this_kernel(monkeypatch, rows, k, 
     assert split.tobytes() == (a2 @ w).tobytes()
 
 
-@pytest.mark.parametrize("threads, forks", [(1, 1), (2, 0), (None, 0)])
-def test_matmul_forks_a_gemm_only_beside_one_blas_thread(monkeypatch, threads, forks):
+@pytest.mark.parametrize("pinned, forks", [(True, 1), (False, 0)])
+def test_matmul_forks_a_gemm_only_beside_one_blas_thread(monkeypatch, pinned, forks):
+    # unpinned, as where numpy bundles no OpenBLAS, no two GEMMs run at once
     counted = force_pool(monkeypatch)
-    monkeypatch.setattr(parallel, "blas_threads", lambda: threads)
+    monkeypatch.setattr(parallel, "blas_pinned", pinned)
     rng = np.random.default_rng(0)
     x = Tensor(rng.standard_normal((6, 5)).astype(np.float32), requires_grad=True)
     w = Tensor(rng.standard_normal((5, 4)).astype(np.float32), requires_grad=True)
@@ -344,9 +345,25 @@ def test_matmul_forks_a_gemm_only_beside_one_blas_thread(monkeypatch, threads, f
     assert np.array_equal(w.grad, x.data.T @ g)
 
 
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS reports, or None."""
+    getter = parallel._blas_function("get_num_threads")
+    return None if getter is None else getter()
+
+
 def test_blas_thread_count_is_read_or_unknown():
-    threads = parallel.blas_threads()
-    assert threads is None or threads >= 1
+    # the pin took exactly where the thread count can be read
+    threads = blas_threads()
+    assert threads in (1, None)
+    assert parallel.blas_pinned == (threads == 1)
+
+
+def child_env(tmp_path, blas: str) -> dict:
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(tmp_path)]),
+        "OPENBLAS_NUM_THREADS": blas,
+    }
 
 
 # loaded into a pytest child with `-p`: reports whether the pool started and
@@ -357,8 +374,9 @@ from cogent import parallel
 
 
 def pytest_unconfigure(config):
+    getter = parallel._blas_function("get_num_threads")
     print(f"pool started: {parallel._tasks is not None}")
-    print(f"blas threads: {parallel.blas_threads()}")
+    print(f"blas threads: {None if getter is None else getter()}")
 """
 FORCING = """
 from cogent import optim, parallel, tensor
@@ -374,25 +392,62 @@ parallel._spare = max(parallel._spare, 1)
 
 @pytest.mark.parametrize("blas, forced", [("1", True), ("2", False)])
 def test_pinned_digests_hold_at_any_blas_thread_count(tmp_path, blas, forced):
-    # a child process, since OpenBLAS reads its thread count when numpy
-    # loads; with two BLAS threads no GEMM forks, but gelu and Adam may
-    # still use the pool
+    # a child process, since OpenBLAS reads the thread variable when numpy
+    # loads; cogent pins it to one thread either way
     plugin = (FORCING if forced else "") + REPORTING_PLUGIN
     (tmp_path / "pool_report.py").write_text(plugin)
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(tmp_path)]),
-        "OPENBLAS_NUM_THREADS": blas,
-        "OMP_NUM_THREADS": blas,
-        "MKL_NUM_THREADS": blas,
-    }
     out = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          "-p", "pool_report", str(ROOT / "tests" / "test_pinned.py")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
+        cwd=ROOT, env=child_env(tmp_path, blas), capture_output=True, text=True,
+        timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
     assert "3 passed" in out.stdout
     assert f"pool started: {forced}" in out.stdout, out.stdout
-    read = parallel.blas_threads()
-    assert f"blas threads: {blas if read else None}" in out.stdout, out.stdout
+    assert f"blas threads: {1 if blas_threads() else None}" in out.stdout, out.stdout
+
+
+# prints the digest of a product that OpenBLAS splits among two threads, then
+# runs the CLI on its arguments
+THREADED_CHILD = """
+import hashlib, sys
+import numpy as np
+from cogent.cli import main
+from cogent.tensor import Tensor, matmul, no_grad
+
+rng = np.random.default_rng(0)
+a = rng.standard_normal((300, 700), dtype=np.float32)
+b = rng.standard_normal((700, 900), dtype=np.float32)
+with no_grad():
+    product = matmul(Tensor(a), Tensor(b)).data
+print(hashlib.sha256(product.tobytes()).hexdigest())
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_run_has_the_same_bits_at_one_and_two_blas_threads(tmp_path):
+    # the smallest micro run found whose files differed at one and two BLAS
+    # threads before cogent pinned the thread count: its MLP's hidden width,
+    # 468, is a K at which OpenBLAS's two-thread GEMM sums in another order
+    data = tmp_path / "corpus"
+    assert main(["gen-synthetic", "--out", str(data), "--T", "32",
+                 "--per-class", "8"]) == 0
+    args = [
+        "pretrain", "--data", str(data), "--patch.L", "8",
+        "--model.d_model", "36", "--model.n_heads", "2", "--model.mlp_ratio", "13",
+        "--model.n_blocks", "1", "--model.proj_dim", "4",
+        "--train.epochs_pretrain", "1", "--train.batch_size", "16",
+    ]
+    digests = []
+    for blas in ("1", "2"):
+        out = subprocess.run(
+            [sys.executable, "-c", THREADED_CHILD, *args, "--out", str(tmp_path / blas)],
+            cwd=tmp_path, env=child_env(tmp_path, blas), capture_output=True,
+            text=True, timeout=120,
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
+        digests.append(out.stdout.split()[0])
+    assert digests[0] == digests[1]
+    for name in ("best.ckpt", "last.ckpt", "loss_log.csv"):
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
