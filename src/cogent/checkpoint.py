@@ -2,10 +2,11 @@
 
 Layout: 8-byte magic ``COGENT02``, little-endian uint64 manifest length, the
 UTF-8 JSON manifest (parameter names/shapes/offsets, config and its digest,
-epoch, normalization stats), then the little-endian float32 parameter
-payload in manifest order. No optimizer state is stored. The loss weights a
-pretraining run used are in its loss log, not here; the `lambda_c` and
-`lambda_r` keys that older COGENT02 manifests carry are ignored on load.
+epoch, normalization stats, the payload's `zlib.crc32`), then the
+little-endian float32 parameter payload in manifest order. No optimizer
+state is stored. The loss weights a pretraining run used are in its loss
+log, not here; the `lambda_c` and `lambda_r` keys that older COGENT02
+manifests carry are ignored on load.
 
 A checkpoint holds only the tensors of the stage that wrote it (pretraining:
 the encoder plus the heads its loss trained; fine-tuning: the encoder plus
@@ -14,8 +15,11 @@ the classifier), so the stage is read off the tensor set (`finetuned`).
 Saving writes a temp file beside the target and renames it over the target,
 so a failed write leaves an existing checkpoint untouched. Save -> load ->
 save is byte-identical. Loading raises ConfigError naming the file for an
-older magic, a truncated or corrupt file, or a stored `config_digest` that is
-not the digest of the stored config's architecture keys. It takes no digest
+older magic, a truncated or corrupt file, a payload whose crc32 is not the
+stored `payload_crc32`, or a stored `config_digest` that is not the digest
+of the stored config's architecture keys. A COGENT02 manifest without
+`payload_crc32` (written before the checksum was stored) loads with its
+payload unchecked, and saving it again adds the checksum. It takes no digest
 from the caller: the stored config is the settings that ran, and fine-tuning
 compares its architecture keys with the current run's (`trainer.finetune`).
 """
@@ -27,6 +31,7 @@ import json
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,8 +107,14 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     over `path`. If writing fails, the temp file is removed and a checkpoint
     already at `path` is left as it was.
     """
+    arrays = [np.ascontiguousarray(arr, dtype="<f4") for arr in ckpt.params.values()]
+    crc = 0
+    for arr in arrays:
+        crc = zlib.crc32(arr, crc)
     manifest = json.dumps(
-        _manifest_dict(ckpt), sort_keys=True, separators=(",", ":")
+        {**_manifest_dict(ckpt), "payload_crc32": crc},
+        sort_keys=True,
+        separators=(",", ":"),
     ).encode("utf-8")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -113,9 +124,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(manifest)))
             fh.write(manifest)
-            for arr in ckpt.params.values():
-                # through the array's buffer: no bytes copy
-                fh.write(np.ascontiguousarray(arr, dtype="<f4").data)
+            for arr in arrays:
+                fh.write(arr.data)  # through the array's buffer: no bytes copy
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -137,7 +147,7 @@ def load_checkpoint(path) -> Checkpoint:
         mlen = int.from_bytes(head[8:16], "little")
         if len(head) < 16 or 16 + mlen > size:
             raise ConfigError(f"{path}: truncated checkpoint (manifest cut short)")
-        ckpt, entries = _parse_manifest(fh.read(mlen), path)
+        ckpt, entries, crc = _parse_manifest(fh.read(mlen), path)
         body_len = size - 16 - mlen
         expected = 0
         for name, shape, offset in entries:
@@ -157,6 +167,8 @@ def load_checkpoint(path) -> Checkpoint:
         payload = np.empty(expected // 4, dtype="<f4")
         if fh.readinto(payload) != expected:
             raise ConfigError(f"{path}: payload changed while it was read")
+    if crc is not None and zlib.crc32(payload) != crc:
+        raise ConfigError(f"{path}: payload does not match its crc32 (corrupt file)")
     for name, shape, offset in entries:
         start = offset // 4
         ckpt.params[name] = payload[start : start + math.prod(shape)].reshape(shape)
@@ -164,7 +176,8 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _parse_manifest(blob: bytes, path: Path):
-    """The checkpoint (no arrays yet) and its (name, shape, offset) entries."""
+    """The checkpoint (no arrays yet), its (name, shape, offset) entries and
+    the stored payload crc32, None in a manifest written without one."""
     try:
         manifest = json.loads(blob.decode("utf-8"))
         if not isinstance(manifest["config"], dict):
@@ -180,6 +193,7 @@ def _parse_manifest(blob: bytes, path: Path):
             norm_std=manifest["norm_std"],
         )
         stored = manifest["config_digest"]
+        crc = manifest.get("payload_crc32")
     except (ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"{path}: invalid checkpoint manifest ({e!r})") from None
     if stored != ckpt.digest:
@@ -187,4 +201,4 @@ def _parse_manifest(blob: bytes, path: Path):
             f"{path}: the stored config_digest does not match the digest of "
             "the stored config (edited or corrupt manifest)"
         )
-    return ckpt, entries
+    return ckpt, entries, crc

@@ -262,9 +262,8 @@ def _require_model_memory(settings: RunSettings, meta: DatasetMeta) -> None:
     """Refuse a model whose training state exceeds the machine's memory,
     before anything is drawn or written; the larger stage counts."""
     model, patch = settings.model, settings.patch
-    proj_tokens = patch.n_patches(meta.T) if settings.keep_zeroed else None
     try:
-        count = param_count(model, patch, meta, proj_tokens, settings.loss)
+        count = param_count(model, patch, meta, settings.keep_zeroed, settings.loss)
     except ConfigError:  # no visible patch, which pretraining itself refuses
         count = 0
     try:

@@ -156,7 +156,7 @@ def init_params(
     patch_cfg: PatchConfig,
     meta: DatasetMeta,
     dtype=np.float32,
-    proj_tokens: int | None = None,
+    keep_zeroed: bool = False,
     loss: LossConfig | None = None,
 ) -> ModelParams:
     """Build the encoder plus the heads one stage trains, under cfg.init_seed.
@@ -170,12 +170,12 @@ def init_params(
 
     Affine weights are truncated-normal (std 0.02), biases zero (the
     attention key projection has none), layer-norm gain 1 / bias 0, cls and
-    mask tokens normal (std 0.02). `proj_tokens` overrides how many patch
-    embeddings the projection head consumes (the zeroed-token form feeds it
-    all N patches instead of the visible count).
+    mask tokens normal (std 0.02). With `keep_zeroed` (the zeroed-token
+    form) the projection head consumes all N patch embeddings instead of the
+    visible count.
     """
     n_patches = patch_cfg.n_patches(meta.T)
-    n_visible = patch_cfg.n_visible(meta.T) if proj_tokens is None else proj_tokens
+    n_visible = n_patches if keep_zeroed else patch_cfg.n_visible(meta.T)
     in_dim = patch_cfg.L * meta.D
     dm = cfg.d_model
     hidden = classifier_hidden_width(cfg, n_patches)
@@ -242,7 +242,7 @@ def param_count(
     cfg: ModelConfig,
     patch_cfg: PatchConfig,
     meta: DatasetMeta,
-    proj_tokens: int | None = None,
+    keep_zeroed: bool = False,
     loss: LossConfig | None = None,
 ) -> int:
     """How many values `init_params` stores for the same arguments, worked
@@ -261,9 +261,8 @@ def param_count(
         if loss.reconstruct_target == "masked":
             count += dm
     if loss.needs_contrastive:
-        if proj_tokens is None:
-            proj_tokens = patch_cfg.n_visible(meta.T)
-        count += (proj_tokens * dm + 1) * dm + (dm + 1) * cfg.proj_dim
+        tokens = n_patches if keep_zeroed else patch_cfg.n_visible(meta.T)
+        count += (tokens * dm + 1) * dm + (dm + 1) * cfg.proj_dim
     return count
 
 

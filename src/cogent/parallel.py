@@ -1,13 +1,13 @@
 """Same-bits work on the cores that one BLAS thread leaves idle.
 
-A small pool of (usable cores - 1) daemon threads, started on first use.
-`each(block_fn, n_blocks)` runs `block_fn(0)`, ..., `block_fn(n_blocks - 1)`
-on the calling thread and on the workers: every thread takes the next block
-index from one shared counter until none is left. The caller works blocks
-too, so a worker that a busy core keeps waiting only takes fewer blocks;
-the call is never slower than the serial loop by more than the ~30 us of
-handing work over and joining it. Callers hand over only calls whose share
-carries much more work than that.
+A `concurrent.futures.ThreadPoolExecutor` of (usable cores - 1) threads,
+started on first use. `each(block_fn, n_blocks)` runs `block_fn(0)`, ...,
+`block_fn(n_blocks - 1)` on the calling thread and on the workers: every
+thread takes the next block index from one shared counter until none is
+left. The caller works blocks too, so a worker that a busy core keeps
+waiting only takes fewer blocks; the call is never slower than the serial
+loop by more than the ~50 us of handing work over and joining it. Callers
+hand over only calls whose share carries much more work than that.
 
 It does three kinds of work: blocks of `tensor.gelu` and of Adam's sweep
 and finite check (`optim`), a 2-D product's two gradient GEMMs, and the two
@@ -41,7 +41,7 @@ other bits at two threads than at one. So no bit depends on the thread
 count either. `blas_pinned` is False where numpy bundles no OpenBLAS with
 that setter; callers then run no two GEMMs side by side, and the bits
 follow that library's threads. The pin loads nothing numpy has not loaded;
-the pool imports `queue` when it starts.
+the pool imports `concurrent.futures` when it starts.
 """
 
 from __future__ import annotations
@@ -66,40 +66,19 @@ def _usable_cores() -> int:
 
 
 _spare = _usable_cores() - 1  # workers the pool starts
-_tasks = None  # the pool's task queue, once started
+_executor = None  # the pool, once started
 _start_lock = threading.Lock()
 _local = threading.local()  # .worker is set on the pool's threads
 
 
-def _serve(tasks) -> None:
+def _mark_worker() -> None:
     _local.worker = True
-    while True:
-        tasks.get()()
-
-
-def _start_pool():
-    import queue
-
-    tasks = queue.SimpleQueue()
-    for i in range(_spare):
-        threading.Thread(
-            target=_serve, args=(tasks,), name=f"cogent-pool-{i}", daemon=True
-        ).start()
-    return tasks
-
-
-def _pool():
-    global _tasks
-    with _start_lock:
-        if _tasks is None:
-            _tasks = _start_pool()
-        return _tasks
 
 
 def _forget_pool() -> None:
     # a forked child has none of the parent's threads
-    global _tasks
-    _tasks = None
+    global _executor
+    _executor = None
 
 
 if hasattr(os, "register_at_fork"):
@@ -109,18 +88,13 @@ if hasattr(os, "register_at_fork"):
 def _fork(fn: Callable[[], None]) -> Callable[[], None]:
     """Start fn() on a worker, in a copy of the caller's context; return a
     join that waits for it. fn must not raise."""
-    run = contextvars.copy_context().run
-    done = threading.Lock()
-    done.acquire()
+    global _executor
+    with _start_lock:
+        if _executor is None:
+            from concurrent.futures import ThreadPoolExecutor
 
-    def task():
-        try:
-            run(fn)
-        finally:
-            done.release()
-
-    _pool().put(task)
-    return done.acquire
+            _executor = ThreadPoolExecutor(_spare, "cogent-pool", _mark_worker)
+    return _executor.submit(contextvars.copy_context().run, fn).result
 
 
 def each(block_fn: Callable[[int], None], n_blocks: int, pool: bool = True) -> None:

@@ -639,7 +639,7 @@ def _stacked_views_oracle():
             settings.model,
             patch,
             meta,
-            proj_tokens=patch.n_patches(meta.T) if keep_zeroed else None,
+            keep_zeroed=keep_zeroed,
             loss=settings.loss,
         )
         results = []

@@ -325,12 +325,11 @@ def pretrain(
         sanity = apply_normalization(sanity, norm_mean, norm_std)
     with _finite("pretraining", "building the sanity split's views", settings):
         sanity = _sanity_set(sanity, settings)
-    proj_tokens = n_patches if settings.keep_zeroed else None
     params = init_params(
         settings.model,
         settings.patch,
         corpus.meta,
-        proj_tokens=proj_tokens,
+        keep_zeroed=settings.keep_zeroed,
         loss=settings.loss,
     )
     adam_state, adam_cfg = _adam(params, tc, tc.lr_pretrain)

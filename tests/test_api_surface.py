@@ -1,6 +1,6 @@
 """No public name exists only for tests, numpy is the only dependency,
 every exception class belongs to the taxonomy in `errors.py`, and only
-`parallel.py` reaches into numpy's BLAS library.
+`parallel.py` reaches into numpy's BLAS library or handles threads.
 
 Every name that `cogent/__init__.py` re-exports, and every name in
 `tensor.__all__`, must be used by the package's own code outside
@@ -219,3 +219,30 @@ def test_only_parallel_reaches_the_blas_library():
         if any(_reaches_blas(n) for n in ast.walk(tree))
     )
     assert reaching == ["parallel.py"]
+
+
+THREAD_MODULES = {"threading", "_thread", "queue", "concurrent.futures"}
+
+
+def _imported_modules(node) -> set[str]:
+    """Every module an import statement loads, with its parent packages."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom) and not node.level:
+        module = node.module or ""
+        names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+    else:
+        return set()
+    parts = (name.split(".") for name in names)
+    return {".".join(p[:i]) for p in parts for i in range(1, len(p) + 1)}
+
+
+def test_only_parallel_handles_threads():
+    # the pool's rules (same bits, the lowest failing block's error, serial
+    # calls from a worker) hold only for work that goes through `parallel`
+    importing = sorted(
+        name
+        for name, tree in module_trees().items()
+        if any(_imported_modules(n) & THREAD_MODULES for n in ast.walk(tree))
+    )
+    assert importing == ["parallel.py"]

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -74,6 +75,7 @@ class TestRoundTrip:
         manifest = json.loads(raw[16 : 16 + mlen])
         assert sorted(manifest) == [
             "config", "config_digest", "epoch", "norm_mean", "norm_std", "params",
+            "payload_crc32",
         ]
         payload = sum(arr.size * 4 for arr in ckpt.params.values())
         assert len(raw) == 16 + mlen + payload
@@ -105,10 +107,25 @@ class TestRoundTrip:
         save_checkpoint(sample_checkpoint(), path)
         before = path.read_bytes()
         broken = sample_checkpoint()
-        # converting the last array fails after the others are written
+        # converting the last array fails, before the checksum is known
         broken.params["cls_token"] = np.array([["not a number"] * 8])
         with pytest.raises(ValueError):
             save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["g.ckpt"]
+
+    def test_failed_rename_removes_the_written_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "g.ckpt"
+        save_checkpoint(sample_checkpoint(), path)
+        before = path.read_bytes()
+
+        def replace(src, dst):
+            assert Path(src).stat().st_size == len(before)  # written in full
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="rename refused"):
+            save_checkpoint(sample_checkpoint(), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["g.ckpt"]
 
@@ -222,6 +239,18 @@ class TestBadInput:
         ):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("index", [-1, -13])
+    def test_flipped_payload_byte(self, tmp_path, index):
+        # one bit of a parameter changes; the lengths and manifest still fit
+        path, raw = _saved(tmp_path)
+        corrupt = bytearray(raw)
+        corrupt[index] ^= 0x01
+        path.write_bytes(bytes(corrupt))
+        with pytest.raises(
+            ConfigError, match=r"good\.ckpt: payload does not match its crc32"
+        ):
+            load_checkpoint(path)
+
     def test_older_format_named(self, tmp_path):
         path, raw = _saved(tmp_path)
         path.write_bytes(b"COGENT01" + raw[8:])
@@ -273,11 +302,14 @@ class TestStoredDigest:
 
     def test_earlier_files_still_load(self, tmp_path):
         # the bytes are those the format wrote before the digest had a reader,
-        # with the loss weights that manifests no longer store; loading
-        # ignores the weights, and saving again writes today's bytes
-        path = _rewritten(
-            tmp_path, lambda m: m.update(lambda_c=1.0, lambda_r=0.0171875)
-        )
+        # with the loss weights that manifests no longer store and without
+        # the payload checksum; loading ignores the weights and checks no
+        # checksum, and saving again writes today's bytes
+        def earlier(manifest):
+            manifest.update(lambda_c=1.0, lambda_r=0.0171875)
+            del manifest["payload_crc32"]
+
+        path = _rewritten(tmp_path, earlier)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.SAMPLE_FILE_SHA256
         loaded = load_checkpoint(path)
         assert loaded.config == sample_checkpoint().config

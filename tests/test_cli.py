@@ -691,6 +691,20 @@ class TestFinetuneEvaluateExport:
         assert rc == 1
         assert f"{bad}: payload changed while it was read" in capsys.readouterr().err
 
+    def test_flipped_payload_byte_exits_1(
+        self, corpus_dir, finetune_dir, tmp_path, capsys
+    ):
+        # the last byte belongs to `clf.fc2.b`; every length still fits
+        corrupt = bytearray((finetune_dir / "finetuned.ckpt").read_bytes())
+        corrupt[-1] ^= 0x01
+        bad = tmp_path / "flipped.ckpt"
+        bad.write_bytes(bytes(corrupt))
+        rc = main(["evaluate", "--from", str(bad), "--data", str(corpus_dir)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: payload does not match its crc32 (corrupt file)" in err
+        assert "Traceback" not in err
+
     def test_corpus_shape_mismatch_exits_1(self, finetune_dir, tmp_path, capsys):
         other = tmp_path / "othercorpus"
         rc = main(

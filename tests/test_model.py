@@ -149,18 +149,18 @@ class TestInitParams:
             if loss is None:
                 assert params["clf.fc1.w"].shape[1] == 1024
 
-    @pytest.mark.parametrize("proj_tokens", [None, 4])
+    @pytest.mark.parametrize("keep_zeroed", [False, True])
     @pytest.mark.parametrize("loss", LAYOUTS)
-    def test_param_count_counts_what_init_params_stores(self, loss, proj_tokens):
+    def test_param_count_counts_what_init_params_stores(self, loss, keep_zeroed):
         meta = DatasetMeta(T=40, D=2, num_classes=3, name="count")
         patch_cfg = PatchConfig(L=8, theta=0.5)
         model_cfg = ModelConfig(
             d_model=8, n_blocks=3, n_heads=2, mlp_ratio=3, proj_dim=5
         )
         params = init_params(
-            model_cfg, patch_cfg, meta, proj_tokens=proj_tokens, loss=loss
+            model_cfg, patch_cfg, meta, keep_zeroed=keep_zeroed, loss=loss
         )
-        count = model.param_count(model_cfg, patch_cfg, meta, proj_tokens, loss)
+        count = model.param_count(model_cfg, patch_cfg, meta, keep_zeroed, loss)
         assert count == params.total_params()
 
     def test_classifier_hidden_width_reference_shape(self):

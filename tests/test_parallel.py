@@ -183,7 +183,7 @@ def test_workers_keep_the_callers_error_state(monkeypatch):
 def test_every_block_runs_once_with_more_workers_than_cores(monkeypatch):
     # a fresh pool of four workers, switching threads every microsecond: a
     # block index handed out twice, or never, breaks the counts
-    monkeypatch.setattr(parallel, "_tasks", None)
+    monkeypatch.setattr(parallel, "_executor", None)
     monkeypatch.setattr(parallel, "_spare", 4)
     counts = np.zeros(5000, int)
 
@@ -204,6 +204,43 @@ def test_every_block_runs_once_with_more_workers_than_cores(monkeypatch):
         sys.setswitchinterval(interval)
     assert finished.is_set() and not runner.is_alive()
     assert (counts == 1).all()
+
+
+# starts the pool, forks, and in the child runs a pooled `each`: a pool
+# carried over from the parent would have no thread to serve it and hang
+FORKING_CHILD = """
+import os, sys, threading
+import numpy as np
+from cogent import parallel
+
+parallel._spare = max(parallel._spare, 1)
+wait = lambda i: threading.Event().wait(0.001)
+parallel.each(wait, 64)
+assert threading.active_count() >= 2, "the parent started no worker"
+pid = os.fork()
+if pid:
+    sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+assert threading.active_count() == 1
+counts = np.zeros(64, int)
+
+def block(i):
+    counts[i] += 1
+    wait(i)
+
+parallel.each(block, counts.size)
+assert (counts == 1).all(), counts
+assert threading.active_count() >= 2, "the child started no worker"
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_starts_its_own_pool(tmp_path):
+    out = subprocess.run(
+        [sys.executable, "-c", FORKING_CHILD], cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_each_from_a_worker_runs_serially_and_finishes(monkeypatch):
@@ -231,9 +268,7 @@ def test_each_from_a_worker_runs_serially_and_finishes(monkeypatch):
 def test_a_quickstart_size_run_starts_no_worker(monkeypatch, tmp_path):
     # README quickstart model sizes on a small corpus: every call stays under
     # the thresholds, so the pool never starts
-    started = []
-    monkeypatch.setattr(parallel, "_tasks", None)
-    monkeypatch.setattr(parallel, "_start_pool", lambda: started.append(1))
+    monkeypatch.setattr(parallel, "_executor", None)
     meta = DatasetMeta(T=96, D=1, num_classes=3, name="quick")
     corpus = gen_synthetic(tmp_path, meta, per_class=20, seed=1, sigma=0.1)
     overrides = {
@@ -245,7 +280,7 @@ def test_a_quickstart_size_run_starts_no_worker(monkeypatch, tmp_path):
     pre, _ = trainer.pretrain(corpus, settings)
     tuned, _ = trainer.finetune(pre, corpus, settings)
     trainer.evaluate(tuned, corpus.test)
-    assert started == [] and parallel._tasks is None
+    assert parallel._executor is None
 
 
 def test_a_quickstart_size_step_and_sanity_pass_fork_nothing(monkeypatch, tmp_path):
@@ -375,7 +410,7 @@ from cogent import parallel
 
 def pytest_unconfigure(config):
     getter = parallel._blas_function("get_num_threads")
-    print(f"pool started: {parallel._tasks is not None}")
+    print(f"pool started: {parallel._executor is not None}")
     print(f"blas threads: {None if getter is None else getter()}")
 """
 FORCING = """
